@@ -8,6 +8,12 @@ cmake -B build -S .
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
+# Benchmark build leg: perfbench/ is its own CMake project compiling ../src
+# and calling the appliance, compiler and memo-XML APIs, so an API change
+# that breaks it fails here. Build only; perfbench/run.py runs it.
+cmake -S perfbench -B build-perfbench
+cmake --build build-perfbench -j --target pdwbench
+
 # The parallel execution engine, plan cache, and the pipelined DMS
 # (bounded queues + push-with-help backpressure + concurrent sessions
 # moving data through the same pool) are the racy surfaces; run their

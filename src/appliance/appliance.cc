@@ -87,6 +87,25 @@ double PreaggActualRowsIn(const std::vector<obs::OperatorProfile>& ops) {
   return 0;
 }
 
+/// The record of DSQL step `index` before it runs: its identity and the
+/// optimizer's estimates. The registry's pending skeleton, a shared-step
+/// follower's record and every execution attempt all start from it.
+obs::StepProfile StepRecord(const DsqlStep& step, int index) {
+  obs::StepProfile sp;
+  sp.index = index;
+  sp.kind = step.kind == DsqlStepKind::kDms ? "DMS" : "RETURN";
+  if (step.kind == DsqlStepKind::kDms) {
+    sp.move_kind = DmsOpKindToString(step.move_kind);
+  }
+  sp.dest_table = step.dest_table;
+  sp.sql = step.sql;
+  sp.estimated_rows = step.estimated_rows;
+  sp.estimated_cost = step.estimated_cost;
+  sp.preagg = step.preagg;
+  sp.preagg_rows_in = step.preagg_rows_in;
+  return sp;
+}
+
 void FillComponents(const DmsRunMetrics& m, obs::StepProfile* sp) {
   sp->reader = {m.reader.bytes, m.reader.seconds};
   sp->network = {m.network.bytes, m.network.seconds};
@@ -379,13 +398,14 @@ Status Appliance::DropTemps(const std::vector<std::string>& temps) {
 
 Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
                                                uint64_t query_id,
-                                               bool profile_operators,
+                                               const QueryOptions& options,
                                                int max_parallel_nodes,
-                                               const ExecOptions& exec,
-                                               DmsCodec dms_codec,
-                                               const RetryPolicy& retry,
-                                               bool share_steps,
                                                const std::atomic<bool>* cancel) {
+  const bool profile_operators = options.observe.collect_operator_actuals;
+  const ExecOptions& exec = options.execute.engine;
+  const DmsCodec dms_codec = options.execute.dms_codec;
+  const RetryPolicy& retry = options.execute.retry;
+  const bool share_steps = options.execute.share_steps;
   ApplianceResult result;
   result.dsql = dsql;
   result.column_names = dsql.output_names;
@@ -434,21 +454,30 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
   // skeleton, so DMV queries see every step (pending ones included) from
   // the moment execution starts.
   {
-    std::vector<obs::RequestStepState> skeleton;
-    for (size_t i = 0; i < dsql.steps.size(); ++i) {
-      const DsqlStep& step = dsql.steps[i];
-      obs::RequestStepState s;
-      s.index = static_cast<int>(i);
-      s.kind = step.kind == DsqlStepKind::kDms ? "DMS" : "RETURN";
-      if (step.kind == DsqlStepKind::kDms) {
-        s.move_kind = DmsOpKindToString(step.move_kind);
-      }
-      s.dest_table = step.dest_table;
-      s.sql = step.sql;
-      skeleton.push_back(std::move(s));
+    std::vector<obs::StepProfile> skeleton;
+    for (size_t i = 0; i < plan.steps.size(); ++i) {
+      skeleton.push_back(StepRecord(plan.steps[i], static_cast<int>(i)));
     }
     requests_.BeginExecute(query_id, std::move(skeleton));
   }
+
+  // Every finished step, executed or followed, lands here exactly once:
+  // the registry's record is replaced with it, the latency histograms
+  // behind sys.dm_pdw_metrics observe it, and it joins the profile.
+  auto finish_step = [&](obs::StepProfile sp) {
+    sp.status = "complete";
+    requests_.EndStep(query_id, sp);
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    reg.Observe("dsql.step.seconds", sp.measured_seconds);
+    // A follower moved nothing, so it feeds no DMS component histogram.
+    if (sp.kind == "DMS" && sp.shared_role != "follower") {
+      reg.Observe("dms.reader.seconds", sp.reader.seconds);
+      reg.Observe("dms.network.seconds", sp.network.seconds);
+      reg.Observe("dms.writer.seconds", sp.writer.seconds);
+      reg.Observe("dms.bulkcopy.seconds", sp.bulkcopy.seconds);
+    }
+    result.profile.steps.push_back(std::move(sp));
+  };
 
   ThreadPool& pool = ThreadPool::Global();
   bool parallel = max_parallel_nodes != 1;
@@ -531,9 +560,6 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
   // through DMS, destination temp table materialized on every target node.
   auto run_dms_step = [&](const DsqlStep& step,
                           obs::StepProfile* sp) -> Status {
-    sp->kind = "DMS";
-    sp->move_kind = DmsOpKindToString(step.move_kind);
-    sp->dest_table = step.dest_table;
     obs::TraceSpan step_span("dsql.step");
     step_span.AddAttr("kind", sp->move_kind);
     step_span.AddAttr("dest", step.dest_table);
@@ -541,6 +567,20 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     DmsRunMetrics metrics;
     Result<std::vector<RowVector>> routed =
         Status::Internal("DMS step not executed");
+    DmsExecOptions dms_options;
+    dms_options.codec = dms_codec;
+    dms_options.cancel = cancel;
+    dms_options.max_workers = max_parallel_nodes;
+    dms_options.progress = [this, query_id, idx = sp->index,
+                            &active_share_key](double rows_delta,
+                                               double bytes_delta) {
+      requests_.StepProgress(query_id, idx, rows_delta, bytes_delta);
+      // Leading a shared step: attribute the same movement to every
+      // follower blocked on it, so their DMV rows advance live too.
+      if (active_share_key != nullptr) {
+        shared_steps_.Progress(*active_share_key, rows_delta, bytes_delta);
+      }
+    };
     if (dms_codec == DmsCodec::kColumnar) {
       // Streaming path: each source node's SQL runs inside its DMS
       // producer, so row production on one node overlaps pack/route/
@@ -575,20 +615,6 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
           return std::move(rows->rows);
         };
       }
-      DmsExecOptions dms_options;
-      dms_options.codec = DmsCodec::kColumnar;
-      dms_options.cancel = cancel;
-      dms_options.max_workers = max_parallel_nodes;
-      dms_options.progress = [this, query_id, idx = sp->index,
-                              &active_share_key](double rows_delta,
-                                                 double bytes_delta) {
-        requests_.StepProgress(query_id, idx, rows_delta, bytes_delta);
-        // Leading a shared step: attribute the same movement to every
-        // follower blocked on it, so their DMV rows advance live too.
-        if (active_share_key != nullptr) {
-          shared_steps_.Progress(*active_share_key, rows_delta, bytes_delta);
-        }
-      };
       for (const ColumnDef& col : step.dest_schema.columns()) {
         dms_options.types.push_back(col.type);
       }
@@ -611,18 +637,6 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
       std::vector<RowVector> source_rows(static_cast<size_t>(slots));
       PDW_RETURN_NOT_OK(
           run_on_nodes(step, SourceNodes(step), &source_rows, sp));
-      DmsExecOptions dms_options;
-      dms_options.codec = DmsCodec::kRow;
-      dms_options.cancel = cancel;
-      dms_options.max_workers = max_parallel_nodes;
-      dms_options.progress = [this, query_id, idx = sp->index,
-                              &active_share_key](double rows_delta,
-                                                 double bytes_delta) {
-        requests_.StepProgress(query_id, idx, rows_delta, bytes_delta);
-        if (active_share_key != nullptr) {
-          shared_steps_.Progress(*active_share_key, rows_delta, bytes_delta);
-        }
-      };
       routed = dms_.Execute(step.move_kind, std::move(source_rows),
                             step.hash_column_ordinals, &metrics,
                             parallel ? &pool : nullptr, dms_options);
@@ -664,7 +678,6 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
   // merge sort, limit, visible-column trim.
   auto run_return_step = [&](const DsqlStep& step,
                              obs::StepProfile* sp) -> Status {
-    sp->kind = "RETURN";
     obs::TraceSpan step_span("dsql.step");
     step_span.AddAttr("kind", std::string("Return"));
     int slots = dms_.num_compute_nodes() + 1;
@@ -745,36 +758,19 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
             plan.steps[j].sql =
                 ReplaceAll(std::move(plan.steps[j].sql), own, adopted);
           }
-          obs::StepProfile fsp;
-          fsp.index = step_index;
-          fsp.kind = "DMS";
-          fsp.move_kind = DmsOpKindToString(step.move_kind);
+          obs::StepProfile fsp = StepRecord(step, step_index);
           fsp.dest_table = join.temp_table;
-          fsp.sql = step.sql;
-          fsp.estimated_rows = step.estimated_rows;
-          fsp.estimated_cost = step.estimated_cost;
           fsp.shared_role = "follower";
           fsp.shared_saved_bytes = join.saved_bytes;
           fsp.actual_rows = join.saved_rows;
           fsp.measured_seconds = join.wait_seconds;
           requests_.BeginStep(query_id, step_index, 0);
-          obs::RequestStepState fin;
-          fin.index = step_index;
-          fin.kind = fsp.kind;
-          fin.move_kind = fsp.move_kind;
-          fin.dest_table = fsp.dest_table;
-          fin.sql = fsp.sql;
-          fin.seconds = join.wait_seconds;
-          fin.shared_role = "follower";
-          fin.saved_bytes = join.saved_bytes;
-          requests_.EndStep(query_id, fin);
-          obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-          reg.Observe("wlm.shared_step.wait.seconds", join.wait_seconds);
-          reg.Observe("dsql.step.seconds", join.wait_seconds);
+          obs::MetricsRegistry::Global().Observe("wlm.shared_step.wait.seconds",
+                                                 join.wait_seconds);
           ++result.shared_steps_followed;
           result.shared_saved_bytes += join.saved_bytes;
           result.dms_metrics.saved_bytes += join.saved_bytes;
-          result.profile.steps.push_back(std::move(fsp));
+          finish_step(std::move(fsp));
           continue;
         }
         if (join.role == SharedStepRegistry::Role::kLeader) {
@@ -799,13 +795,7 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
         return cleanup_and_fail(
             Status::Cancelled("query cancelled at step boundary"));
       }
-      sp = obs::StepProfile{};
-      sp.index = step_index;
-      sp.sql = step.sql;
-      sp.estimated_rows = step.estimated_rows;
-      sp.estimated_cost = step.estimated_cost;
-      sp.preagg = step.preagg;
-      sp.preagg_rows_in = step.preagg_rows_in;
+      sp = StepRecord(step, step_index);
       sp.retries = attempt;
       requests_.BeginStep(query_id, step_index, attempt);
       double step_start = NowSeconds();
@@ -856,41 +846,10 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
         obs::MetricsRegistry::Global().Count("wlm.shared_step.fault_skip");
       }
     }
-    // Finalize the registry's step with the successful attempt's metered
-    // totals (replacing live-progress counts, which double-count broadcast
-    // fan-out) and feed the latency histograms behind sys.dm_pdw_metrics.
-    {
-      obs::RequestStepState fin;
-      fin.index = sp.index;
-      fin.kind = sp.kind;
-      fin.move_kind = sp.move_kind;
-      fin.dest_table = sp.dest_table;
-      fin.sql = sp.sql;
-      fin.retries = sp.retries;
-      fin.rows_moved = sp.actual_rows;
-      fin.bytes_moved = sp.network.bytes;
-      fin.seconds = sp.measured_seconds;
-      fin.component_bytes[0] = sp.reader.bytes;
-      fin.component_bytes[1] = sp.network.bytes;
-      fin.component_bytes[2] = sp.writer.bytes;
-      fin.component_bytes[3] = sp.bulkcopy.bytes;
-      fin.component_seconds[0] = sp.reader.seconds;
-      fin.component_seconds[1] = sp.network.seconds;
-      fin.component_seconds[2] = sp.writer.seconds;
-      fin.component_seconds[3] = sp.bulkcopy.seconds;
-      fin.shared_role = sp.shared_role;
-      fin.saved_bytes = sp.shared_saved_bytes;
-      requests_.EndStep(query_id, fin);
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-      reg.Observe("dsql.step.seconds", sp.measured_seconds);
-      if (is_dms) {
-        reg.Observe("dms.reader.seconds", sp.reader.seconds);
-        reg.Observe("dms.network.seconds", sp.network.seconds);
-        reg.Observe("dms.writer.seconds", sp.writer.seconds);
-        reg.Observe("dms.bulkcopy.seconds", sp.bulkcopy.seconds);
-      }
-    }
-    result.profile.steps.push_back(std::move(sp));
+    // The registry's record becomes the successful attempt's metered totals
+    // (replacing live-progress counts, which double-count broadcast
+    // fan-out).
+    finish_step(std::move(sp));
   }
 
   // Release this execution's shared-step references first: whoever drops a
@@ -1011,7 +970,6 @@ Result<ApplianceResult> Appliance::RunDmvQuery(uint64_t query_id,
                                                const QueryOptions& options) {
   obs::TraceSpan span("appliance.dmv_query");
   requests_.BeginCompile(query_id);
-  requests_.EndCompile(query_id, /*cache_hit=*/false);
   requests_.BeginExecute(query_id, {});
   double start = NowSeconds();
   PDW_ASSIGN_OR_RETURN(
@@ -1170,19 +1128,9 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
     }
     profile.modeled_cost = modeled_cost;
     profile.cache_hit = cache_hit;
-    requests_.EndCompile(query_id, cache_hit);
-    // Cache hits restore the memo stats from the cached plan's profile, so
-    // the DMV columns are populated either way.
-    std::vector<std::pair<std::string, double>> phase_pairs;
-    phase_pairs.reserve(profile.compile_phases.size());
-    for (const obs::PhaseProfile& p : profile.compile_phases) {
-      phase_pairs.emplace_back(p.name, p.seconds);
-    }
-    requests_.SetCompileInfo(query_id, std::move(phase_pairs),
-                             profile.optimizer.memo_groups,
-                             profile.optimizer.memo_exprs,
-                             profile.optimizer.budget_exhausted,
-                             profile.optimizer.beam_used);
+    // Cache hits restore the optimizer counters from the cached plan's
+    // profile, so the DMV columns are populated either way.
+    requests_.EndCompile(query_id, profile);
     obs::MetricsRegistry::Global().Observe("optimizer.compile.seconds",
                                            profile.compile_seconds);
     for (const auto& [phase_name, phase_secs] : profile.compile_phases) {
@@ -1245,10 +1193,7 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
     UniquifyTempNames(&dsql, query_id);
     PDW_ASSIGN_OR_RETURN(
         ApplianceResult result,
-        ExecuteDsql(dsql, query_id, options.observe.collect_operator_actuals,
-                    max_parallel, options.execute.engine,
-                    options.execute.dms_codec, options.execute.retry,
-                    options.execute.share_steps, cancel));
+        ExecuteDsql(dsql, query_id, options, max_parallel, cancel));
     result.modeled_cost = modeled_cost;
     result.plan_text = plan_text;
     result.cache_hit = cache_hit;
@@ -1298,9 +1243,7 @@ Result<ApplianceResult> Appliance::ExecutePlan(
                      "(precompiled parallel plan)", EngineLabel(ExecOptions{}));
   UniquifyTempNames(&dsql, query_id);
   Result<ApplianceResult> result =
-      ExecuteDsql(dsql, query_id, /*profile_operators=*/false,
-                  /*max_parallel_nodes=*/0, ExecOptions{},
-                  DefaultDmsCodec(), RetryPolicy{}, DefaultSharedSteps(),
+      ExecuteDsql(dsql, query_id, QueryOptions{}, /*max_parallel_nodes=*/0,
                   /*cancel=*/nullptr);
   if (!result.ok()) {
     requests_.Fail(query_id, result.status().ToString());

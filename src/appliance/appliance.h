@@ -353,14 +353,13 @@ class Appliance {
   Result<ApplianceResult> RunDmvQuery(uint64_t query_id,
                                       const std::string& sql,
                                       const QueryOptions& options);
+  /// Runs a DSQL plan step by step under `options.execute` (engine, DMS
+  /// codec, retry policy, sub-plan sharing) with at most
+  /// `max_parallel_nodes` nodes per step (0 = all).
   Result<ApplianceResult> ExecuteDsql(const DsqlPlan& dsql,
                                       uint64_t query_id,
-                                      bool profile_operators,
+                                      const QueryOptions& options,
                                       int max_parallel_nodes,
-                                      const ExecOptions& exec,
-                                      DmsCodec dms_codec,
-                                      const RetryPolicy& retry,
-                                      bool share_steps,
                                       const std::atomic<bool>* cancel);
   /// Registers (and on destruction unregisters) a query's cancellation
   /// token so Appliance::Cancel can find it.

@@ -42,6 +42,9 @@ struct StepProfile {
   std::string move_kind;  ///< DMS operation name (DMS steps only).
   std::string dest_table;
   std::string sql;
+  /// Lifecycle in the request registry (sys.dm_pdw_exec_steps.status):
+  /// "pending", "running", "complete" or "failed".
+  std::string status = "pending";
 
   double estimated_rows = 0;   ///< PDW optimizer's global estimate.
   double actual_rows = 0;      ///< Rows moved (DMS) / returned (RETURN).

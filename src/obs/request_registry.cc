@@ -40,21 +40,27 @@ bool IsTerminalPhase(RequestPhase phase) {
          phase == RequestPhase::kCancelled;
 }
 
+double StepRowsMoved(const StepProfile& step) {
+  return step.kind == "RETURN" ? step.actual_rows : step.rows_moved;
+}
+
+double StepBytesMoved(const StepProfile& step) { return step.network.bytes; }
+
 int RequestState::TotalRetries() const {
   int total = 0;
-  for (const RequestStepState& s : steps) total += s.retries;
+  for (const StepProfile& s : steps) total += s.retries;
   return total;
 }
 
 double RequestState::RowsMoved() const {
   double total = 0;
-  for (const RequestStepState& s : steps) total += s.rows_moved;
+  for (const StepProfile& s : steps) total += StepRowsMoved(s);
   return total;
 }
 
 double RequestState::BytesMoved() const {
   double total = 0;
-  for (const RequestStepState& s : steps) total += s.bytes_moved;
+  for (const StepProfile& s : steps) total += StepBytesMoved(s);
   return total;
 }
 
@@ -86,26 +92,15 @@ void RequestRegistry::BeginCompile(uint64_t query_id) {
   it->second.compile_start_seconds = now;
 }
 
-void RequestRegistry::EndCompile(uint64_t query_id, bool cache_hit) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = active_.find(query_id);
-  if (it == active_.end()) return;
-  it->second.cache_hit = cache_hit;
-}
-
-void RequestRegistry::SetCompileInfo(
-    uint64_t query_id, std::vector<std::pair<std::string, double>> phases,
-    double memo_groups, double memo_exprs, bool budget_exhausted,
-    bool beam_used) {
+void RequestRegistry::EndCompile(uint64_t query_id,
+                                 const QueryProfile& profile) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = active_.find(query_id);
   if (it == active_.end()) return;
   RequestState& r = it->second;
-  r.compile_phases = std::move(phases);
-  r.memo_groups = memo_groups;
-  r.memo_exprs = memo_exprs;
-  r.budget_exhausted = budget_exhausted;
-  r.beam_used = beam_used;
+  r.cache_hit = profile.cache_hit;
+  r.compile_phases = profile.compile_phases;
+  r.optimizer = profile.optimizer;
 }
 
 void RequestRegistry::BeginQueue(uint64_t query_id,
@@ -136,7 +131,7 @@ void RequestRegistry::MarkResultCacheHit(uint64_t query_id) {
 }
 
 void RequestRegistry::BeginExecute(uint64_t query_id,
-                                   std::vector<RequestStepState> steps) {
+                                   std::vector<StepProfile> steps) {
   double now = NowSeconds();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = active_.find(query_id);
@@ -155,13 +150,13 @@ void RequestRegistry::BeginStep(uint64_t query_id, int step_index,
   if (it == active_.end()) return;
   RequestState& r = it->second;
   if (step_index < 0 || step_index >= static_cast<int>(r.steps.size())) return;
-  RequestStepState& s = r.steps[static_cast<size_t>(step_index)];
+  StepProfile& s = r.steps[static_cast<size_t>(step_index)];
   s.status = "running";
   s.retries = retries;
   // A retry starts over: the partial temp table was dropped, so the live
   // progress counts restart from zero too.
   s.rows_moved = 0;
-  s.bytes_moved = 0;
+  s.network.bytes = 0;
   r.current_step = step_index;
 }
 
@@ -172,29 +167,18 @@ void RequestRegistry::StepProgress(uint64_t query_id, int step_index,
   if (it == active_.end()) return;
   RequestState& r = it->second;
   if (step_index < 0 || step_index >= static_cast<int>(r.steps.size())) return;
-  RequestStepState& s = r.steps[static_cast<size_t>(step_index)];
+  StepProfile& s = r.steps[static_cast<size_t>(step_index)];
   s.rows_moved += rows_delta;
-  s.bytes_moved += bytes_delta;
+  s.network.bytes += bytes_delta;
 }
 
-void RequestRegistry::EndStep(uint64_t query_id,
-                              const RequestStepState& final_state) {
+void RequestRegistry::EndStep(uint64_t query_id, const StepProfile& step) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = active_.find(query_id);
   if (it == active_.end()) return;
   RequestState& r = it->second;
-  int index = final_state.index;
-  if (index < 0 || index >= static_cast<int>(r.steps.size())) return;
-  RequestStepState& s = r.steps[static_cast<size_t>(index)];
-  std::string kind = s.kind, move_kind = s.move_kind;
-  std::string dest = s.dest_table, sql = s.sql;
-  s = final_state;
-  // Keep the skeleton's descriptive fields if the caller left them empty.
-  if (s.kind.empty()) s.kind = std::move(kind);
-  if (s.move_kind.empty()) s.move_kind = std::move(move_kind);
-  if (s.dest_table.empty()) s.dest_table = std::move(dest);
-  if (s.sql.empty()) s.sql = std::move(sql);
-  s.status = "complete";
+  if (step.index < 0 || step.index >= static_cast<int>(r.steps.size())) return;
+  r.steps[static_cast<size_t>(step.index)] = step;
 }
 
 void RequestRegistry::Retire(uint64_t query_id, RequestPhase phase,
@@ -208,7 +192,7 @@ void RequestRegistry::Retire(uint64_t query_id, RequestPhase phase,
   r.error = std::move(error);
   if (phase == RequestPhase::kFailed || phase == RequestPhase::kCancelled) {
     // The step that was running when the request died is the failed one.
-    for (RequestStepState& s : r.steps) {
+    for (StepProfile& s : r.steps) {
       if (s.status == "running") s.status = "failed";
     }
   }

@@ -6,8 +6,9 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
+
+#include "obs/query_profile.h"
 
 namespace pdw::obs {
 
@@ -33,35 +34,14 @@ bool IsTerminalPhase(RequestPhase phase);
 
 const char* RequestPhaseName(RequestPhase phase);
 
-/// Live state of one DSQL step inside a request ("pending" -> "running" ->
-/// "complete"/"failed"). rows/bytes advance *during* a DMS move via the
-/// pipeline's progress feed, then snap to the metered totals on completion.
-struct RequestStepState {
-  int index = 0;
-  std::string kind;        ///< "DMS" or "RETURN".
-  std::string move_kind;   ///< DMS operation name (DMS steps only).
-  std::string dest_table;
-  std::string sql;
-  std::string status = "pending";
-  int retries = 0;
-  double rows_moved = 0;
-  double bytes_moved = 0;
-  double seconds = 0;      ///< Wall time of the successful attempt.
-  /// Per-component DMS meters of the successful attempt (bytes, seconds),
-  /// indexed by kDmsComponentNames order: reader, network, writer, bulkcopy.
-  double component_bytes[4] = {0, 0, 0, 0};
-  double component_seconds[4] = {0, 0, 0, 0};
-  /// Sub-plan sharing: "leader" (this step's temp was published to the
-  /// shared-step registry), "follower" (the step consumed another query's
-  /// temp instead of executing), or empty for a privately executed step.
-  std::string shared_role;
-  /// Follower only: DMS bytes the adopted step's leader moved — the
-  /// movement this request skipped.
-  double saved_bytes = 0;
-};
-
-inline constexpr const char* kDmsComponentNames[4] = {"reader", "network",
-                                                      "writer", "bulkcopy"};
+/// The sys.dm_pdw_exec_steps movement columns of one step record. While a
+/// DMS step runs, rows_moved and network.bytes hold the live progress
+/// counts; once it finishes they hold the successful attempt's metered
+/// totals. A Return step reports the rows it returned. A shared-step
+/// follower moved nothing, so both are 0 (shared_saved_bytes carries what
+/// it skipped).
+double StepRowsMoved(const StepProfile& step);
+double StepBytesMoved(const StepProfile& step);
 
 /// Everything sys.dm_pdw_exec_requests knows about one request. Timestamps
 /// are seconds since the owning registry's epoch (its construction);
@@ -94,16 +74,16 @@ struct RequestState {
   int current_step = -1;
   int total_steps = 0;
   std::string error;
-  std::vector<RequestStepState> steps;
+  /// One record per DSQL step, the same StepProfile the query's profile
+  /// carries: the plan's skeleton while pending, the live counts while
+  /// running, the finished record once the step completes.
+  std::vector<StepProfile> steps;
   /// Compile-phase wall seconds in pipeline order (bind, normalize, memo,
   /// pdw_optimize, ...; a single plan_cache_lookup entry on cache hits).
-  std::vector<std::pair<std::string, double>> compile_phases;
-  /// Serial-memo search-space stats (restored from the cached plan's
-  /// profile on cache hits, so they are populated either way).
-  double memo_groups = 0;
-  double memo_exprs = 0;
-  bool budget_exhausted = false;  ///< Join enumeration was degraded.
-  bool beam_used = false;         ///< Degradation ran as a beam search.
+  std::vector<PhaseProfile> compile_phases;
+  /// Optimizer search counters (restored from the cached plan's profile on
+  /// cache hits, so they are populated either way).
+  OptimizerProfile optimizer;
 
   /// Sums over steps — the "so far" view while executing.
   int TotalRetries() const;
@@ -133,13 +113,10 @@ class RequestRegistry {
                 std::string engine);
 
   void BeginCompile(uint64_t query_id);
-  void EndCompile(uint64_t query_id, bool cache_hit);
-  /// Attaches the compile's phase timings and memo search-space stats (the
-  /// optimizer-observability columns of sys.dm_pdw_exec_requests).
-  void SetCompileInfo(uint64_t query_id,
-                      std::vector<std::pair<std::string, double>> phases,
-                      double memo_groups, double memo_exprs,
-                      bool budget_exhausted, bool beam_used);
+  /// Attaches the compile half of the query's profile: cache_hit, the
+  /// phase timings and the optimizer counters (the optimizer-observability
+  /// columns of sys.dm_pdw_exec_requests).
+  void EndCompile(uint64_t query_id, const QueryProfile& profile);
 
   /// Transition back to queued while the request waits in the workload
   /// manager's admission queue of `resource_class`.
@@ -150,20 +127,21 @@ class RequestRegistry {
   /// Complete follows); records the fact for the DMV's result_cache_hit.
   void MarkResultCacheHit(uint64_t query_id);
 
-  /// Transition to executing with the plan's step skeleton (index/kind/
-  /// move_kind/dest_table/sql filled, counters zero).
-  void BeginExecute(uint64_t query_id, std::vector<RequestStepState> steps);
+  /// Transition to executing with the plan's step skeleton (identity and
+  /// estimates filled, counters zero, status pending).
+  void BeginExecute(uint64_t query_id, std::vector<StepProfile> steps);
 
   /// Marks the step running and makes it the request's current step. Also
-  /// used on retry re-entry; `retries` is the attempt count so far.
+  /// used on retry re-entry; `retries` is the attempt count so far, and the
+  /// live rows/bytes restart from zero.
   void BeginStep(uint64_t query_id, int step_index, int retries);
   /// Live progress feed from the DMS pipeline: adds rows/bytes moved so far
-  /// to the running step.
+  /// to the step (rows_moved / network.bytes).
   void StepProgress(uint64_t query_id, int step_index, double rows_delta,
                     double bytes_delta);
-  /// Finalizes a step with the metered totals of its successful attempt
-  /// (replacing any live progress counts).
-  void EndStep(uint64_t query_id, const RequestStepState& final_state);
+  /// Replaces step `step.index` with its finished record, stored as given
+  /// (status included).
+  void EndStep(uint64_t query_id, const StepProfile& step);
 
   void Complete(uint64_t query_id);
   void Fail(uint64_t query_id, std::string error);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "appliance/appliance.h"
+#include "common/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tpch/tpch.h"
@@ -289,6 +291,157 @@ TEST(DmvTest, FinishedRingEvictsOldestBeyondCapacity) {
   // The survivors are the four most recent requests.
   for (size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(kept.count(ids[i]), i + 4 >= ids.size() ? 1u : 0u) << i;
+  }
+}
+
+// --- one step record behind the profile and the views ---------------------
+
+/// Asserts that every sys.dm_pdw_exec_steps and sys.dm_pdw_dms_workers row
+/// of `run` equals the value its profile step implies, and that
+/// sys.dm_pdw_exec_requests' totals are the per-step sums. A shared-step
+/// follower moved nothing: its rows_moved and bytes_moved are 0, and
+/// saved_bytes carries the movement it skipped.
+void ExpectViewsAgreeWithProfile(Appliance* appliance,
+                                 const ApplianceResult& run) {
+  const std::string by_id =
+      " WHERE request_id = " + std::to_string(run.query_id);
+  RowVector steps = Dmv(appliance,
+                        "SELECT step_index, status, retries, rows_moved, "
+                        "bytes_moved, elapsed_ms, shared_role, saved_bytes "
+                        "FROM sys.dm_pdw_exec_steps" + by_id +
+                        " ORDER BY step_index");
+  ASSERT_EQ(steps.size(), run.profile.steps.size());
+  int64_t retries = 0;
+  double rows_moved = 0, bytes_moved = 0;
+  size_t dms_steps = 0;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const obs::StepProfile& sp = run.profile.steps[i];
+    SCOPED_TRACE("step " + std::to_string(i));
+    const bool follower = sp.shared_role == "follower";
+    const double want_rows = follower ? 0 : sp.actual_rows;
+    const double want_bytes = follower ? 0 : sp.network.bytes;
+    const Row& row = steps[i];
+    EXPECT_EQ(row[0].int_value(), sp.index);
+    EXPECT_EQ(row[1].string_value(), "complete");
+    EXPECT_EQ(row[2].int_value(), sp.retries);
+    EXPECT_EQ(row[3].double_value(), want_rows);
+    EXPECT_EQ(row[4].double_value(), want_bytes);
+    EXPECT_EQ(row[5].double_value(), sp.measured_seconds * 1e3);
+    if (sp.shared_role.empty()) {
+      EXPECT_TRUE(row[6].is_null());
+    } else {
+      EXPECT_EQ(row[6].string_value(), sp.shared_role);
+    }
+    EXPECT_EQ(row[7].double_value(), sp.shared_saved_bytes);
+    retries += sp.retries;
+    rows_moved += want_rows;
+    bytes_moved += want_bytes;
+    if (sp.kind == "DMS") ++dms_steps;
+  }
+
+  RowVector workers = Dmv(appliance,
+                          "SELECT step_index, worker_type, status, "
+                          "bytes_processed, seconds "
+                          "FROM sys.dm_pdw_dms_workers" + by_id);
+  ASSERT_EQ(workers.size(), 4 * dms_steps);
+  for (const Row& w : workers) {
+    const obs::StepProfile& sp =
+        run.profile.steps[static_cast<size_t>(w[0].int_value())];
+    const std::string type = w[1].string_value();
+    SCOPED_TRACE("step " + std::to_string(sp.index) + " " + type);
+    const obs::ComponentProfile& want = type == "reader"    ? sp.reader
+                                        : type == "network" ? sp.network
+                                        : type == "writer"  ? sp.writer
+                                                            : sp.bulkcopy;
+    EXPECT_EQ(sp.kind, "DMS");
+    EXPECT_EQ(w[2].string_value(), "complete");
+    EXPECT_EQ(w[3].double_value(), want.bytes);
+    EXPECT_EQ(w[4].double_value(), want.seconds);
+  }
+
+  RowVector req = Dmv(appliance,
+                      "SELECT retries, rows_moved, bytes_moved "
+                      "FROM sys.dm_pdw_exec_requests" + by_id);
+  ASSERT_EQ(req.size(), 1u);
+  EXPECT_EQ(req[0][0].int_value(), retries);
+  EXPECT_EQ(req[0][1].double_value(), rows_moved);
+  EXPECT_EQ(req[0][2].double_value(), bytes_moved);
+}
+
+TEST(DmvTest, ExecStepsAndWorkersAgreeWithProfile) {
+  auto appliance = MakeLoadedAppliance(3, 0.01);
+  Session session = appliance->Connect();
+
+  // A plain distributed join.
+  auto plain = session.Run(kJoinSql);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  {
+    SCOPED_TRACE("plain join");
+    ExpectViewsAgreeWithProfile(appliance.get(), *plain);
+  }
+
+  // A transient network fault: the failed attempt is retried, and only the
+  // successful attempt's meters land in the record.
+  fault::FaultSpec flaky{"dms.network", 1, 1,
+                         fault::FaultKind::kTransientError};
+  auto retried = session.Run(kJoinSql, QueryOptions().WithFaults({flaky}));
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  int retries = 0;
+  for (const obs::StepProfile& sp : retried->profile.steps) {
+    retries += sp.retries;
+  }
+  EXPECT_GE(retries, 1);
+  {
+    SCOPED_TRACE("transient dms.network fault");
+    ExpectViewsAgreeWithProfile(appliance.get(), *retried);
+  }
+
+  // A forced cross-query overlap: the leader's network transfers are
+  // delayed so its shuffle is still executing when the follower, a
+  // different query with the same DMS steps, arrives to adopt it.
+  const std::string leader_sql =
+      "SELECT c_nationkey, COUNT(*) AS cnt FROM customer, orders "
+      "WHERE c_custkey = o_custkey GROUP BY c_nationkey";
+  const std::string follower_sql = leader_sql + " ORDER BY c_nationkey";
+  QueryOptions share = QueryOptions().WithSharedSteps(true);
+  // Warm the plan cache so the follower's compile stays out of the window.
+  ASSERT_TRUE(session.Run(leader_sql, share).ok());
+  ASSERT_TRUE(session.Run(follower_sql, share).ok());
+  fault::FaultSpec slow{"dms.network", 1, -1, fault::FaultKind::kDelay, 0.05};
+  QueryOptions leader_options = share;
+  leader_options.execute.faults = {slow};
+  Result<ApplianceResult> leader = Status::Internal("not run");
+  std::thread leader_thread([&] {
+    Session s = appliance->Connect();
+    leader = s.Run(leader_sql, leader_options);
+  });
+  bool executing = false;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!executing && std::chrono::steady_clock::now() < deadline) {
+    for (const SharedStepRegistry::EntryInfo& e :
+         appliance->shared_steps().ListEntries()) {
+      executing = executing || e.state == "executing";
+    }
+    if (!executing) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto follower = session.Run(follower_sql, share);
+  leader_thread.join();
+  ASSERT_TRUE(executing) << "leader never registered an executing step";
+  ASSERT_TRUE(leader.ok()) << leader.status().ToString();
+  ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+  ASSERT_GE(follower->shared_steps_followed, 1);
+  for (const obs::StepProfile& sp : follower->profile.steps) {
+    if (sp.shared_role != "follower") continue;
+    EXPECT_GT(sp.actual_rows, 0) << "the follower adopted the leader's rows";
+    EXPECT_GT(sp.shared_saved_bytes, 0);
+  }
+  {
+    SCOPED_TRACE("shared-step leader");
+    ExpectViewsAgreeWithProfile(appliance.get(), *leader);
+  }
+  {
+    SCOPED_TRACE("shared-step follower");
+    ExpectViewsAgreeWithProfile(appliance.get(), *follower);
   }
 }
 

@@ -1,5 +1,6 @@
 // Tests for the observability substrate: trace spans, metrics registry,
-// formatting helpers, and the QueryProfile renderings.
+// formatting helpers, the QueryProfile renderings, and the request
+// registry behind the sys.dm_pdw_* views.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "obs/format.h"
 #include "obs/metrics.h"
 #include "obs/query_profile.h"
+#include "obs/request_registry.h"
 #include "obs/trace.h"
 
 namespace pdw::obs {
@@ -443,6 +445,178 @@ TEST(QueryProfileTest, JsonRoundTrip) {
   EXPECT_NE(json.find("\"operators\":[{\"depth\":0"), std::string::npos);
   // Empty profile must still be valid JSON.
   EXPECT_TRUE(IsValidJson(QueryProfile{}.ToJson()));
+}
+
+// ---------------------------------------------------------------------------
+// RequestRegistry: the step records behind sys.dm_pdw_exec_steps.
+
+/// Registers request 7 and starts executing a two-step plan (DMS, RETURN).
+void StartExecuting(RequestRegistry* reg) {
+  reg->Register(7, 1, "SELECT 1", "batch");
+  reg->BeginCompile(7);
+  StepProfile dms;
+  dms.index = 0;
+  dms.kind = "DMS";
+  dms.move_kind = "Shuffle";
+  dms.dest_table = "TEMP_ID_Q7_1";
+  dms.sql = "SELECT o_custkey FROM orders";
+  StepProfile ret;
+  ret.index = 1;
+  ret.kind = "RETURN";
+  ret.sql = "SELECT * FROM TEMP_ID_Q7_1";
+  reg->BeginExecute(7, {dms, ret});
+}
+
+const RequestState& Only(const std::vector<RequestState>& snapshot) {
+  EXPECT_EQ(snapshot.size(), 1u);
+  return snapshot.front();
+}
+
+TEST(RequestRegistryTest, EndCompileStoresTheCompileProfile) {
+  RequestRegistry reg;
+  reg.Register(3, 1, "SELECT 1", "row");
+  QueryProfile profile = MakeProfile();
+  profile.cache_hit = true;
+  profile.optimizer.memo_exprs = 77;
+  profile.optimizer.beam_used = true;
+  reg.EndCompile(3, profile);
+  RequestState r = Only(reg.Snapshot());
+  EXPECT_TRUE(r.cache_hit);
+  ASSERT_EQ(r.compile_phases.size(), 2u);
+  EXPECT_EQ(r.compile_phases[1].name, "bind");
+  EXPECT_EQ(r.compile_phases[1].seconds, 2e-4);
+  EXPECT_EQ(r.optimizer.groups, 12);
+  EXPECT_EQ(r.optimizer.memo_exprs, 77);
+  EXPECT_TRUE(r.optimizer.beam_used);
+}
+
+TEST(RequestRegistryTest, BeginStepOnRetryResetsLiveCounts) {
+  RequestRegistry reg;
+  StartExecuting(&reg);
+  reg.BeginStep(7, 0, 0);
+  reg.StepProgress(7, 0, 40, 4096);
+  reg.BeginStep(7, 0, 1);  // the first attempt failed transiently
+  RequestState r = Only(reg.Snapshot());
+  EXPECT_EQ(r.current_step, 0);
+  const StepProfile& s = r.steps[0];
+  EXPECT_EQ(s.status, "running");
+  EXPECT_EQ(s.retries, 1);
+  EXPECT_EQ(s.rows_moved, 0);
+  EXPECT_EQ(s.network.bytes, 0);
+  EXPECT_EQ(r.TotalRetries(), 1);
+  EXPECT_EQ(r.RowsMoved(), 0);
+  EXPECT_EQ(r.BytesMoved(), 0);
+}
+
+TEST(RequestRegistryTest, StepProgressAccumulatesIntoTheRunningStep) {
+  RequestRegistry reg;
+  StartExecuting(&reg);
+  reg.BeginStep(7, 0, 0);
+  reg.StepProgress(7, 0, 10, 1000);
+  reg.StepProgress(7, 0, 15, 500);
+  RequestState r = Only(reg.Snapshot());
+  EXPECT_EQ(StepRowsMoved(r.steps[0]), 25);
+  EXPECT_EQ(StepBytesMoved(r.steps[0]), 1500);
+  EXPECT_EQ(r.steps[1].status, "pending");
+  EXPECT_EQ(StepRowsMoved(r.steps[1]), 0);
+  EXPECT_EQ(r.RowsMoved(), 25);
+  EXPECT_EQ(r.BytesMoved(), 1500);
+}
+
+TEST(RequestRegistryTest, EndStepReplacesTheStepWithItsFinalRecord) {
+  RequestRegistry reg;
+  StartExecuting(&reg);
+  reg.BeginStep(7, 0, 0);
+  reg.StepProgress(7, 0, 999, 99999);  // live counts, superseded below
+  StepProfile done;
+  done.index = 0;
+  done.kind = "DMS";
+  done.dest_table = "TEMP_ID_Q3_1";  // e.g. a follower's adopted temp
+  done.status = "complete";
+  done.rows_moved = 100;
+  done.actual_rows = 100;
+  done.network = {2048, 0.002};
+  done.measured_seconds = 0.01;
+  done.node_seconds = {{0, 0.004}, {1, 0.005}};
+  reg.EndStep(7, done);
+  RequestState r = Only(reg.Snapshot());
+  const StepProfile& s = r.steps[0];
+  EXPECT_EQ(s.status, "complete");
+  EXPECT_EQ(s.dest_table, "TEMP_ID_Q3_1");
+  // Stored as given: nothing is merged back from the skeleton.
+  EXPECT_TRUE(s.move_kind.empty());
+  EXPECT_TRUE(s.sql.empty());
+  EXPECT_EQ(StepRowsMoved(s), 100);
+  EXPECT_EQ(StepBytesMoved(s), 2048);
+  EXPECT_EQ(s.measured_seconds, 0.01);
+  EXPECT_EQ(s.node_seconds.size(), 2u);
+
+  // A Return step reports the rows it returned.
+  StepProfile ret = r.steps[1];
+  ret.status = "complete";
+  ret.actual_rows = 5;
+  reg.EndStep(7, ret);
+  EXPECT_EQ(StepRowsMoved(Only(reg.Snapshot()).steps[1]), 5);
+  EXPECT_EQ(Only(reg.Snapshot()).RowsMoved(), 105);
+}
+
+TEST(RequestRegistryTest, FailedOrCancelledRequestFailsItsRunningStep) {
+  for (bool cancel : {false, true}) {
+    SCOPED_TRACE(cancel ? "cancelled" : "failed");
+    RequestRegistry reg;
+    StartExecuting(&reg);
+    reg.BeginStep(7, 0, 0);
+    if (cancel) {
+      reg.Cancel(7, "cancelled by client");
+    } else {
+      reg.Fail(7, "node 2 failed");
+    }
+    EXPECT_EQ(reg.active_count(), 0u);
+    RequestState r = Only(reg.Snapshot());
+    EXPECT_EQ(r.phase,
+              cancel ? RequestPhase::kCancelled : RequestPhase::kFailed);
+    EXPECT_EQ(r.steps[0].status, "failed");
+    EXPECT_EQ(r.steps[1].status, "pending");
+  }
+  // A completed request keeps its step statuses as they were.
+  RequestRegistry reg;
+  StartExecuting(&reg);
+  reg.BeginStep(7, 0, 0);
+  reg.Complete(7);
+  EXPECT_EQ(Only(reg.Snapshot()).steps[0].status, "running");
+}
+
+TEST(RequestRegistryTest, UnknownQueryIdsAndStepIndexesAreIgnored) {
+  RequestRegistry reg;
+  StartExecuting(&reg);
+  StepProfile stray;
+  stray.status = "complete";
+  stray.rows_moved = 5;
+  // Unknown query id.
+  reg.BeginCompile(99);
+  reg.EndCompile(99, MakeProfile());
+  reg.BeginStep(99, 0, 2);
+  reg.StepProgress(99, 0, 5, 5);
+  reg.EndStep(99, stray);
+  reg.Fail(99, "unknown");
+  // Step indexes outside the plan.
+  for (int index : {-1, 2, 100}) {
+    reg.BeginStep(7, index, 3);
+    reg.StepProgress(7, index, 5, 5);
+    stray.index = index;
+    reg.EndStep(7, stray);
+  }
+  EXPECT_EQ(reg.active_count(), 1u);
+  EXPECT_EQ(reg.finished_count(), 0u);
+  RequestState r = Only(reg.Snapshot());
+  EXPECT_EQ(r.current_step, -1);
+  ASSERT_EQ(r.steps.size(), 2u);
+  for (const StepProfile& s : r.steps) {
+    EXPECT_EQ(s.status, "pending");
+    EXPECT_EQ(s.retries, 0);
+    EXPECT_EQ(StepRowsMoved(s), 0);
+    EXPECT_EQ(StepBytesMoved(s), 0);
+  }
 }
 
 }  // namespace
