@@ -33,9 +33,12 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/dmv_test
 # Workload leg: admission control (slot handoff, priority queue, overload
 # fast-fail), result-cache coalescing (leader/follower wakeups), and
 # cooperative cancellation racing queued and mid-DMS queries — all
-# lock/condvar surfaces, so they run instrumented.
+# lock/condvar surfaces, so they run instrumented. The result-cache and
+# cancellation cases (the cancel-aware follower wait) repeat 20 times.
 cmake --build build-tsan -j --target workload_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/workload_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/workload_test \
+  --gtest_filter='ResultCache*:Cancellation*' --gtest_repeat=20
 
 # Parallel-optimizer leg: multi-threaded memo enumeration and the
 # level-ordered cost sweeps must stay byte-identical to serial under TSan

@@ -149,17 +149,18 @@ void UniquifyTempNames(DsqlPlan* plan, uint64_t qid) {
 
 /// Base tables the parallel plan scans, with their current statistics
 /// versions — the plan cache's invalidation anchor.
-void CollectScanTables(const PlanNode& node, const PlanCache& cache,
+void CollectScanTables(const PlanNode& node,
+                       const TableVersionTracker& versions,
                        std::set<std::string>* seen,
                        std::vector<std::pair<std::string, uint64_t>>* out) {
   if (node.kind == PhysOpKind::kTableScan) {
     std::string name = ToLower(node.table_name);
     if (seen->insert(name).second) {
-      out->emplace_back(name, cache.TableVersion(name));
+      out->emplace_back(name, versions.Version(name));
     }
   }
   for (const auto& child : node.children) {
-    CollectScanTables(*child, cache, seen, out);
+    CollectScanTables(*child, versions, seen, out);
   }
 }
 
@@ -347,9 +348,9 @@ Status Appliance::RefreshStatistics(const std::string& table) {
     def->stats = TableStats::Merge(parts, dist_col);
   }
   // Fresh statistics can change distribution-dependent plan choices — and
-  // fresh rows change answers. The bump goes through the tracker shared by
-  // the plan cache and the result cache, so both invalidate at once.
-  plan_cache_.BumpTableVersion(table);
+  // fresh rows change answers. The tracker is shared by the plan cache and
+  // the result cache, so both invalidate at once.
+  table_versions_->Bump(table);
   return Status::OK();
 }
 
@@ -911,9 +912,11 @@ Status Appliance::Cancel(uint64_t query_id) {
   flag->store(true);
   // Wake admission-queue waiters so a queued (not yet executing) query
   // observes the flag immediately instead of after getting a slot, and
-  // shared-step followers so a cancelled one abandons its leader wait.
+  // shared-step and result-cache followers so a cancelled one abandons its
+  // leader wait.
   workload_.Poke();
   shared_steps_.Poke();
+  result_cache_.Poke();
   return Status::OK();
 }
 
@@ -935,7 +938,10 @@ Result<ApplianceResult> Appliance::RunAs(uint64_t session_id,
   // lands in exactly one terminal phase below.
   uint64_t query_id =
       next_query_id_.fetch_add(1, std::memory_order_relaxed);
-  requests_.Register(query_id, session_id, NormalizeSqlForPlanCache(sql),
+  // The normalized text is the registry's sql_text and half of both
+  // cache keys.
+  const std::string normalized = NormalizeSqlForPlanCache(sql);
+  requests_.Register(query_id, session_id, normalized,
                      EngineLabel(options.execute.engine));
   std::shared_ptr<std::atomic<bool>> cancel = RegisterCancelFlag(query_id);
   double start = NowSeconds();
@@ -943,7 +949,7 @@ Result<ApplianceResult> Appliance::RunAs(uint64_t session_id,
   {
     obs::TraceSpan span("appliance.run");
     span.AddAttr("query_id", static_cast<double>(query_id));
-    result = RunImpl(query_id, sql, options, cancel.get());
+    result = RunImpl(query_id, sql, normalized, options, cancel.get());
   }
   UnregisterCancelFlag(query_id);
   obs::MetricsRegistry::Global().Observe("appliance.query.seconds",
@@ -987,6 +993,7 @@ Result<ApplianceResult> Appliance::RunDmvQuery(uint64_t query_id,
 
 Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
                                            const std::string& sql,
+                                           const std::string& normalized,
                                            const QueryOptions& options,
                                            const std::atomic<bool>* cancel) {
   // Queries over sys.dm_pdw_* system views never enter the distributed
@@ -1009,13 +1016,18 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
   // exit path of the body.
   const bool use_result_cache =
       options.execute.use_result_cache && !options.compile.explain_only;
-  std::string rc_normalized, rc_fingerprint;
+  // The other half of both cache keys.
+  const std::string fingerprint =
+      use_result_cache || options.compile.use_plan_cache
+          ? FingerprintCompilerOptions(options.compile.compiler)
+          : std::string();
   if (use_result_cache) {
-    rc_normalized = NormalizeSqlForPlanCache(sql);
-    rc_fingerprint = FingerprintCompilerOptions(options.compile.compiler);
     bool coalesced = false;
-    if (auto hit = result_cache_.LookupOrJoin(rc_normalized, rc_fingerprint,
-                                              &coalesced)) {
+    PDW_ASSIGN_OR_RETURN(
+        std::optional<CachedQueryResult> hit,
+        result_cache_.LookupOrJoin(normalized, fingerprint, cancel,
+                                   &coalesced));
+    if (hit.has_value()) {
       requests_.MarkResultCacheHit(query_id);
       ApplianceResult result;
       result.column_names = std::move(hit->column_names);
@@ -1059,11 +1071,8 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
     std::vector<std::pair<std::string, uint64_t>> scan_versions;
 
     requests_.BeginCompile(query_id);
-    std::string normalized, fingerprint;
     if (options.compile.use_plan_cache) {
       double t0 = NowSeconds();
-      normalized = NormalizeSqlForPlanCache(sql);
-      fingerprint = FingerprintCompilerOptions(options.compile.compiler);
       if (auto cached = plan_cache_.Lookup(normalized, fingerprint)) {
         dsql = std::move(cached->dsql);
         plan_text = std::move(cached->plan_text);
@@ -1113,7 +1122,7 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
       profile.optimizer.beam_used = comp.beam_used;
 
       std::set<std::string> seen;
-      CollectScanTables(*comp.parallel.plan, plan_cache_, &seen,
+      CollectScanTables(*comp.parallel.plan, *table_versions_, &seen,
                         &scan_versions);
       if (options.compile.use_plan_cache) {
         CachedDsqlPlan entry;
@@ -1220,7 +1229,7 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
       cached.plan_text = result.plan_text;
       cached.modeled_cost = result.modeled_cost;
       cached.table_versions = std::move(scan_versions);
-      result_cache_.Publish(rc_normalized, rc_fingerprint, std::move(cached));
+      result_cache_.Publish(normalized, fingerprint, std::move(cached));
     }
     return result;
   };
@@ -1229,7 +1238,7 @@ Result<ApplianceResult> Appliance::RunImpl(uint64_t query_id,
   if (use_result_cache && !result.ok()) {
     // Leader failed (or was cancelled): release coalesced followers so one
     // of them retries as the new leader instead of inheriting this error.
-    result_cache_.FailFlight(rc_normalized, rc_fingerprint);
+    result_cache_.FailFlight(normalized, fingerprint);
   }
   return result;
 }

@@ -343,8 +343,10 @@ class Appliance {
                                 const QueryOptions& options);
   /// The body of Run, bracketed by the caller's registry Register +
   /// Complete/Fail/Cancel so every exit path lands in exactly one terminal
-  /// phase. `cancel` is this query's cooperative cancellation token.
+  /// phase. `normalized` is NormalizeSqlForPlanCache(sql); `cancel` is
+  /// this query's cooperative cancellation token.
   Result<ApplianceResult> RunImpl(uint64_t query_id, const std::string& sql,
+                                  const std::string& normalized,
                                   const QueryOptions& options,
                                   const std::atomic<bool>* cancel);
   /// Runs a query over sys.dm_pdw_* system views directly on the control

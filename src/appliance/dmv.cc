@@ -1,5 +1,6 @@
 #include "appliance/dmv.h"
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -245,18 +246,22 @@ Status InstallMetrics(LocalEngine* engine) {
       });
 }
 
-Status InstallPlanCache(LocalEngine* engine, const PlanCache* plan_cache) {
-  TableDef def = ViewDef("sys.dm_pdw_plan_cache",
+/// One view over a stats-versioned cache listing (plan cache or result
+/// cache); `count_column` names the cache-specific count column.
+Status InstallCacheView(LocalEngine* engine, std::string name,
+                        std::string count_column,
+                        std::function<std::vector<CacheEntryInfo>()> list) {
+  TableDef def = ViewDef(std::move(name),
                          {{"sql_text", TypeId::kVarchar, false},
                           {"fingerprint", TypeId::kVarchar, false},
                           {"hits", TypeId::kInt, false},
-                          {"num_steps", TypeId::kInt, false},
+                          {std::move(count_column), TypeId::kInt, false},
                           {"modeled_cost", TypeId::kDouble, false},
                           {"base_tables", TypeId::kVarchar, false}});
   return engine->RegisterVirtualTable(
-      std::move(def), [plan_cache]() -> Result<RowVector> {
+      std::move(def), [list = std::move(list)]() -> Result<RowVector> {
         RowVector rows;
-        for (const PlanCache::EntryInfo& e : plan_cache->ListEntries()) {
+        for (const CacheEntryInfo& e : list()) {
           std::string tables;
           for (const std::string& t : e.tables) {
             if (!tables.empty()) tables += ",";
@@ -265,7 +270,7 @@ Status InstallPlanCache(LocalEngine* engine, const PlanCache* plan_cache) {
           rows.push_back({Datum::Varchar(e.normalized_sql),
                           Datum::Varchar(e.options_fingerprint),
                           Datum::Int(static_cast<int64_t>(e.hits)),
-                          Datum::Int(e.num_steps),
+                          Datum::Int(e.count),
                           Datum::Double(e.modeled_cost),
                           Datum::Varchar(tables)});
         }
@@ -303,35 +308,6 @@ Status InstallWorkload(LocalEngine* engine, const WorkloadManager* workload) {
           row.push_back(Datum::Double(c.queue_wait_seconds_total * 1e3));
           row.push_back(Datum::Double(c.cost_threshold));
           rows.push_back(std::move(row));
-        }
-        return rows;
-      });
-}
-
-Status InstallResultCache(LocalEngine* engine,
-                          const ResultCache* result_cache) {
-  TableDef def = ViewDef("sys.dm_pdw_result_cache",
-                         {{"sql_text", TypeId::kVarchar, false},
-                          {"fingerprint", TypeId::kVarchar, false},
-                          {"hits", TypeId::kInt, false},
-                          {"result_rows", TypeId::kInt, false},
-                          {"modeled_cost", TypeId::kDouble, false},
-                          {"base_tables", TypeId::kVarchar, false}});
-  return engine->RegisterVirtualTable(
-      std::move(def), [result_cache]() -> Result<RowVector> {
-        RowVector rows;
-        for (const ResultCache::EntryInfo& e : result_cache->ListEntries()) {
-          std::string tables;
-          for (const std::string& t : e.tables) {
-            if (!tables.empty()) tables += ",";
-            tables += t;
-          }
-          rows.push_back({Datum::Varchar(e.normalized_sql),
-                          Datum::Varchar(e.options_fingerprint),
-                          Datum::Int(static_cast<int64_t>(e.hits)),
-                          Datum::Int(e.rows),
-                          Datum::Double(e.modeled_cost),
-                          Datum::Varchar(tables)});
         }
         return rows;
       });
@@ -383,9 +359,13 @@ Status InstallSystemViews(LocalEngine* engine,
   PDW_RETURN_NOT_OK(InstallExecSteps(engine, requests));
   PDW_RETURN_NOT_OK(InstallDmsWorkers(engine, requests));
   PDW_RETURN_NOT_OK(InstallMetrics(engine));
-  PDW_RETURN_NOT_OK(InstallPlanCache(engine, plan_cache));
+  PDW_RETURN_NOT_OK(InstallCacheView(
+      engine, "sys.dm_pdw_plan_cache", "num_steps",
+      [plan_cache] { return plan_cache->ListEntries(); }));
   PDW_RETURN_NOT_OK(InstallWorkload(engine, workload));
-  PDW_RETURN_NOT_OK(InstallResultCache(engine, result_cache));
+  PDW_RETURN_NOT_OK(InstallCacheView(
+      engine, "sys.dm_pdw_result_cache", "result_rows",
+      [result_cache] { return result_cache->ListEntries(); }));
   PDW_RETURN_NOT_OK(InstallSharedSteps(engine, shared_steps));
   return Status::OK();
 }

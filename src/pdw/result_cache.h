@@ -1,9 +1,9 @@
 #ifndef PDW_PDW_RESULT_CACHE_H_
 #define PDW_PDW_RESULT_CACHE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -28,14 +28,14 @@ struct CachedQueryResult {
   std::string plan_text;
   double modeled_cost = 0;
   std::vector<std::pair<std::string, uint64_t>> table_versions;
+
+  int64_t listed_count() const { return static_cast<int64_t>(rows.size()); }
 };
 
-/// The control node's keyed result cache plus in-flight coalescing — the
+/// The control node's result cache: the stats-versioned LRU (see
+/// VersionedLru) over finished results, plus in-flight coalescing — the
 /// degenerate-but-high-value case of GLADE-style shared work: two identical
-/// queries running at once do the work once.
-///
-/// Keying mirrors the plan cache: (normalized SQL, compiler-options
-/// fingerprint). Invalidation is stats-versioned through the shared
+/// queries running at once do the work once. It shares the plan cache's
 /// TableVersionTracker, so LoadRows / RefreshStatistics on any scanned
 /// table drops dependent results exactly as it drops dependent plans.
 ///
@@ -49,50 +49,41 @@ struct CachedQueryResult {
 ///    leader's rows (byte-identical by construction). When the leader
 ///    fails, followers are released to retry LookupOrJoin — the first one
 ///    back becomes the new leader, so one cancelled or faulted leader
-///    never poisons innocent concurrent sessions.
+///    never poisons innocent concurrent sessions. A follower whose own
+///    cancel flag is set stops waiting with kCancelled; the leader is
+///    unaffected.
 ///
-/// All methods are thread-safe. Counters mirror into the obs metrics
-/// registry as result_cache.* (hit/miss/invalidation/coalesced/...).
-class ResultCache {
+/// All methods are thread-safe. Metrics: result_cache.* (the LRU's
+/// counters plus result_cache.coalesced).
+class ResultCache : private VersionedLru<CachedQueryResult> {
  public:
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;         ///< Includes invalidations.
-    uint64_t invalidations = 0;  ///< Misses caused by stale statistics.
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-    uint64_t coalesced = 0;      ///< Follower waits served by a leader.
-  };
-
-  /// Introspection row of one cached result, as surfaced through the
-  /// sys.dm_pdw_result_cache system view (MRU first).
-  struct EntryInfo {
-    std::string normalized_sql;
-    std::string options_fingerprint;
-    uint64_t hits = 0;
-    int64_t rows = 0;
-    double modeled_cost = 0;
-    std::vector<std::string> tables;  ///< Invalidation anchors.
+  struct Stats : VersionedLru::Stats {
+    uint64_t coalesced = 0;  ///< Follower waits served by a leader.
   };
 
   /// `versions` must be the same tracker the plan cache uses (the
   /// appliance's); null creates a private one for standalone tests.
   explicit ResultCache(size_t capacity = 64,
-                       std::shared_ptr<TableVersionTracker> versions = nullptr);
+                       std::shared_ptr<TableVersionTracker> versions = nullptr)
+      : VersionedLru(capacity, std::move(versions), "result_cache") {}
 
   /// The coalescing entry point (see class comment). Returns the cached or
   /// leader-published result, or std::nullopt when the caller has become
   /// the leader and owns the execute-then-Publish/FailFlight obligation.
   /// `coalesced` (optional) is set when the result came from waiting on an
-  /// in-flight leader rather than the LRU.
+  /// in-flight leader rather than the LRU. A follower whose `cancel` flag
+  /// is set (Poke wakes it) returns kCancelled and never leads.
+  Result<std::optional<CachedQueryResult>> LookupOrJoin(
+      const std::string& normalized_sql,
+      const std::string& options_fingerprint,
+      const std::atomic<bool>* cancel, bool* coalesced = nullptr);
+  /// LookupOrJoin for a caller that cannot be cancelled.
   std::optional<CachedQueryResult> LookupOrJoin(
       const std::string& normalized_sql,
-      const std::string& options_fingerprint, bool* coalesced = nullptr);
-
-  /// Plain lookup with no coalescing side effects (DMV/test use).
-  std::optional<CachedQueryResult> Lookup(
-      const std::string& normalized_sql,
-      const std::string& options_fingerprint);
+      const std::string& options_fingerprint, bool* coalesced = nullptr) {
+    return *LookupOrJoin(normalized_sql, options_fingerprint, nullptr,
+                         coalesced);
+  }
 
   /// Leader success: wakes followers with a copy of `result` and inserts
   /// it into the LRU (evicting the least recently used beyond capacity).
@@ -105,24 +96,19 @@ class ResultCache {
   void FailFlight(const std::string& normalized_sql,
                   const std::string& options_fingerprint);
 
-  void Clear();
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
-  Stats stats() const;
-  const std::shared_ptr<TableVersionTracker>& versions() const {
-    return versions_;
-  }
+  /// Wakes all followers to re-check their cancel flags
+  /// (Appliance::Cancel).
+  void Poke();
 
-  /// Point-in-time copy of every cached entry, MRU first, for DMV queries.
-  std::vector<EntryInfo> ListEntries() const;
+  Stats stats() const;
+
+  /// Plain lookup with no coalescing side effects (DMV/test use).
+  using VersionedLru::Lookup;
+  using VersionedLru::Clear;
+  using VersionedLru::size;
+  using VersionedLru::ListEntries;
 
  private:
-  struct Entry {
-    std::string key;
-    CachedQueryResult result;
-    uint64_t hits = 0;
-  };
-
   /// One in-flight execution identical queries coalesce onto. Followers
   /// hold the shared_ptr, so a leader resolving (and erasing the map
   /// entry) never invalidates a waiter mid-wait.
@@ -132,22 +118,13 @@ class ResultCache {
     CachedQueryResult result;  ///< Valid when done && ok.
   };
 
-  std::string Key(const std::string& normalized_sql,
-                  const std::string& options_fingerprint) const {
-    return options_fingerprint + "\n" + normalized_sql;
-  }
-
-  /// LRU lookup + stale eviction. Caller holds mu_. Does not count stats.
-  std::optional<CachedQueryResult> LookupLocked(const std::string& key);
-
-  mutable std::mutex mu_;
+  /// Guards the flight map and `coalesced_`. Taken before the LRU's own
+  /// lock, so a lookup and the flight check it falls through to are one
+  /// atomic step, and so is a publish with its insert.
+  mutable std::mutex flight_mu_;
   std::condition_variable flight_cv_;
-  size_t capacity_;
-  std::shared_ptr<TableVersionTracker> versions_;
-  std::list<Entry> lru_;  ///< Front = most recently used.
-  std::map<std::string, std::list<Entry>::iterator> index_;
-  std::map<std::string, std::shared_ptr<InFlight>> inflight_;
-  Stats stats_;
+  std::map<Key, std::shared_ptr<InFlight>> inflight_;
+  uint64_t coalesced_ = 0;
 };
 
 }  // namespace pdw

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -248,27 +249,68 @@ TEST(DmvTest, MetricsViewReportsQueryLatencyQuantiles) {
   EXPECT_GE(compile[0][0].double_value(), 5);
 }
 
-// --- plan cache view -------------------------------------------------------
+// --- plan cache and result cache views -----------------------------------
 
 TEST(DmvTest, PlanCacheViewShowsEntriesAndHits) {
-  auto appliance = MakeLoadedAppliance(2, 0.01);
-  Session session = appliance->Connect();
-  QueryOptions cached;
-  cached.compile.use_plan_cache = true;
+  // Both caches list through the same shared LRU; each view is checked on
+  // a fresh appliance so the other cache's traffic cannot leak in.
+  struct CacheView {
+    const char* view;
+    const char* count_column;
+    QueryOptions options;
+    std::function<bool(const ApplianceResult&)> served_from_cache;
+    std::function<bool(Appliance*, const std::string&, const std::string&)>
+        lookup;
+    std::function<uint64_t(Appliance*)> invalidations;
+  };
+  const CacheView views[] = {
+      {"sys.dm_pdw_plan_cache", "num_steps",
+       QueryOptions().WithPlanCache(),
+       [](const ApplianceResult& r) { return r.cache_hit; },
+       [](Appliance* a, const std::string& sql, const std::string& fp) {
+         return a->plan_cache().Lookup(sql, fp).has_value();
+       },
+       [](Appliance* a) { return a->plan_cache().stats().invalidations; }},
+      {"sys.dm_pdw_result_cache", "result_rows",
+       QueryOptions().WithResultCache(),
+       [](const ApplianceResult& r) { return r.result_cache_hit; },
+       [](Appliance* a, const std::string& sql, const std::string& fp) {
+         return a->result_cache().Lookup(sql, fp).has_value();
+       },
+       [](Appliance* a) { return a->result_cache().stats().invalidations; }},
+  };
   const char* sql = "SELECT COUNT(*) AS c FROM supplier";
-  for (int i = 0; i < 3; ++i) {
-    auto r = session.Run(sql, cached);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->cache_hit, i > 0);
+  for (const CacheView& v : views) {
+    SCOPED_TRACE(v.view);
+    auto appliance = MakeLoadedAppliance(2, 0.01);
+    Session session = appliance->Connect();
+    for (int i = 0; i < 3; ++i) {
+      auto r = session.Run(sql, v.options);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(v.served_from_cache(*r), i > 0);
+    }
+    const std::string select = std::string("SELECT sql_text, hits, ") +
+                                v.count_column +
+                                ", base_tables, fingerprint FROM " + v.view;
+    RowVector rows = Dmv(appliance.get(), select);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0][0].string_value(), NormalizeSqlForPlanCache(sql));
+    EXPECT_EQ(rows[0][1].int_value(), 2);  // two of the three runs hit
+    // A plan has at least one DSQL step; COUNT(*) returns one row.
+    if (std::string(v.count_column) == "result_rows") {
+      EXPECT_EQ(rows[0][2].int_value(), 1);
+    } else {
+      EXPECT_GT(rows[0][2].int_value(), 0);
+    }
+    EXPECT_EQ(rows[0][3].string_value(), "supplier");
+
+    // Fresh statistics make the entry stale; the next lookup drops it.
+    ASSERT_TRUE(appliance->RefreshStatistics("supplier").ok());
+    EXPECT_FALSE(v.lookup(appliance.get(), rows[0][0].string_value(),
+                          rows[0][4].string_value()));
+    EXPECT_EQ(v.invalidations(appliance.get()), 1u);
+    EXPECT_TRUE(Dmv(appliance.get(), select).empty());
   }
-  RowVector rows = Dmv(appliance.get(),
-                       "SELECT sql_text, hits, num_steps, base_tables "
-                       "FROM sys.dm_pdw_plan_cache");
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0][0].string_value(), NormalizeSqlForPlanCache(sql));
-  EXPECT_EQ(rows[0][1].int_value(), 2);  // two of the three runs hit
-  EXPECT_GT(rows[0][2].int_value(), 0);
-  EXPECT_NE(rows[0][3].string_value().find("supplier"), std::string::npos);
 }
 
 // --- finished-request ring eviction ---------------------------------------

@@ -510,6 +510,76 @@ TEST(CancellationTest, CancelWhileQueuedForAdmission) {
   EXPECT_EQ(snap[0].active, 0);
 }
 
+TEST(CancellationTest, CancelCoalescedFollowerReturnsAtOnce) {
+  auto appliance = MakeLoadedAppliance(2, 0.02);
+  std::atomic<bool> leader_done{false};
+  Status leader_status = Status::OK();
+  uint64_t leader_id = 0;
+  std::thread leader([&] {
+    // One-shot 1s dispatch delay keeps the leader in flight while the
+    // follower waits on it.
+    FaultSchedule slow;
+    slow.push_back(
+        FaultSpec{"appliance.step.dispatch", 0, 1, FaultKind::kDelay, 1.0});
+    Session s = appliance->Connect();
+    auto r = s.Run(kJoinSql, QueryOptions().WithResultCache().WithFaults(slow));
+    leader_status = r.status();
+    leader_done = true;
+  });
+  SpinUntil([&] {
+    for (const auto& req : appliance->requests().Snapshot()) {
+      if (!obs::IsTerminalPhase(req.phase) && req.total_steps > 0) {
+        leader_id = req.query_id;
+        return true;
+      }
+    }
+    return false;
+  });
+  ASSERT_NE(leader_id, 0u) << "leader never started executing";
+
+  Status follower_status = Status::OK();
+  std::chrono::steady_clock::time_point follower_end;
+  std::thread follower([&] {
+    Session s = appliance->Connect(QueryOptions().WithResultCache());
+    follower_status = s.Run(kJoinSql).status();
+    follower_end = std::chrono::steady_clock::now();
+  });
+  uint64_t victim = 0;
+  SpinUntil([&] {
+    for (const auto& req : appliance->requests().Snapshot()) {
+      if (req.query_id != leader_id && !obs::IsTerminalPhase(req.phase)) {
+        victim = req.query_id;
+        return true;
+      }
+    }
+    return false;
+  });
+  ASSERT_NE(victim, 0u) << "follower never registered";
+  // Let the follower reach its wait on the leader's flight.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto cancelled_at = std::chrono::steady_clock::now();
+  ASSERT_TRUE(appliance->Cancel(victim).ok());
+  follower.join();
+  EXPECT_FALSE(leader_done.load()) << "follower outlived its leader's delay";
+  EXPECT_EQ(follower_status.code(), StatusCode::kCancelled)
+      << follower_status.ToString();
+  EXPECT_LT(std::chrono::duration<double>(follower_end - cancelled_at).count(),
+            0.5);
+
+  // The leader is unaffected: it finishes and publishes its result, and
+  // the cancelled follower counts as neither coalesced nor a miss.
+  leader.join();
+  EXPECT_TRUE(leader_status.ok()) << leader_status.ToString();
+  ResultCache::Stats stats = appliance->result_cache().stats();
+  EXPECT_EQ(stats.coalesced, 0u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.insertions, 1u);
+  auto again = appliance->Connect(QueryOptions().WithResultCache())
+                   .Run(kJoinSql);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again->result_cache_hit);
+}
+
 // --- session API ---
 
 TEST(SessionTest, SessionsCarryDistinctIdsIntoTheDmv) {
