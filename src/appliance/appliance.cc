@@ -332,19 +332,18 @@ Status Appliance::LoadRows(const std::string& table, const RowVector& rows) {
 
 Status Appliance::RefreshStatistics(const std::string& table) {
   PDW_ASSIGN_OR_RETURN(TableDef* def, shell_.GetMutableTable(table));
-  std::vector<TableStats> parts;
-  for (auto& node : compute_) {
-    PDW_ASSIGN_OR_RETURN(TableStats local, node->ComputeLocalStats(table));
-    parts.push_back(std::move(local));
-  }
-  std::string dist_col = def->distribution.is_replicated() ||
-                                 def->distribution.columns.empty()
-                             ? ""
-                             : ToLower(def->distribution.columns[0]);
-  if (def->distribution.is_replicated() && !parts.empty()) {
-    // Every node holds the same rows: the global stats are any node's.
-    def->stats = parts[0];
+  if (def->distribution.is_replicated() && !compute_.empty()) {
+    // Every node holds the same rows: the global stats are node 0's.
+    PDW_ASSIGN_OR_RETURN(def->stats, compute_.front()->ComputeLocalStats(table));
   } else {
+    std::vector<TableStats> parts;
+    for (auto& node : compute_) {
+      PDW_ASSIGN_OR_RETURN(TableStats local, node->ComputeLocalStats(table));
+      parts.push_back(std::move(local));
+    }
+    std::string dist_col = def->distribution.columns.empty()
+                               ? ""
+                               : ToLower(def->distribution.columns[0]);
     def->stats = TableStats::Merge(parts, dist_col);
   }
   // Fresh statistics can change distribution-dependent plan choices — and

@@ -1,5 +1,6 @@
 #include "engine/batch.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
@@ -37,6 +38,25 @@ void ColumnVector::Reserve(size_t n) {
       var_.reserve(n);
       break;
   }
+}
+
+size_t ColumnVector::capacity() const {
+  size_t plane = 0;
+  switch (tag_) {
+    case VecTag::kInt64:
+      plane = i64_.capacity();
+      break;
+    case VecTag::kDouble:
+      plane = f64_.capacity();
+      break;
+    case VecTag::kString:
+      plane = str_.capacity();
+      break;
+    case VecTag::kVariant:
+      plane = var_.capacity();
+      break;
+  }
+  return std::min(nulls_.capacity(), plane);
 }
 
 void ColumnVector::Clear() {
@@ -204,13 +224,13 @@ void ColumnVector::AppendRangeFrom(const ColumnVector& src, size_t begin,
         return;
     }
   }
-  Reserve(nulls_.size() + (end - begin));
+  ReserveForAppend(end - begin);
   for (size_t i = begin; i < end; ++i) AppendFrom(src, i);
 }
 
 void ColumnVector::AppendRowsColumn(const RowVector& rows, size_t begin,
                                     size_t end, size_t ordinal) {
-  Reserve(nulls_.size() + (end - begin));
+  ReserveForAppend(end - begin);
   for (size_t r = begin; r < end; ++r) {
     const Datum& d = rows[r][ordinal];
     if (d.is_null()) {

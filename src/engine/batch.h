@@ -27,6 +27,16 @@ enum class VecTag : uint8_t { kInt64, kDouble, kString, kVariant };
 /// Storage class a declared type maps to.
 VecTag VecTagForType(TypeId type);
 
+/// Capacity to grow to so that `need` elements fit: exactly `need` for an
+/// empty container (a table loaded once keeps its exact size), else at
+/// least 1.5x the current capacity, so n small appends reallocate
+/// O(log n) times instead of copying the whole container on each.
+inline size_t GrownCapacity(size_t capacity, size_t size, size_t need) {
+  if (need <= capacity) return capacity;
+  if (size == 0) return need;
+  return need > capacity + capacity / 2 ? need : capacity + capacity / 2;
+}
+
 /// One typed column of a batch: a value array plus a null bitmap (byte per
 /// row; 1 = NULL). Null rows keep a default value slot so the value arrays
 /// stay index-aligned with the bitmap. Appending a non-null Datum whose
@@ -46,6 +56,8 @@ class ColumnVector {
 
   void Reserve(size_t n);
   void Clear();
+  /// Rows the value plane and null bitmap hold without reallocating.
+  size_t capacity() const;
 
   bool IsNull(size_t i) const { return nulls_[i] != 0; }
 
@@ -126,6 +138,10 @@ class ColumnVector {
 
  private:
   void PromoteToVariant();
+  /// Makes room for `n` more rows, growing by GrownCapacity.
+  void ReserveForAppend(size_t n) {
+    Reserve(GrownCapacity(capacity(), size(), size() + n));
+  }
 
   TypeId declared_;
   VecTag tag_;

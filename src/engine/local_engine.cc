@@ -71,7 +71,7 @@ Status LocalEngine::CreateTable(TableDef def) {
   PDW_RETURN_NOT_OK(catalog_.CreateTable(std::move(def)));
   std::unique_lock lock(mu_);
   StoredTable& table = storage_[key];
-  table.rows.clear();
+  table = StoredTable();
   table.columns.types = types;
   table.columns.batches.assign(1, ColumnBatch(types));
   return Status::OK();
@@ -147,18 +147,16 @@ Result<TableData> LocalEngine::GetTableData(const std::string& name) const {
 Result<TableStats> LocalEngine::ComputeLocalStats(const std::string& name,
                                                   int histogram_buckets) {
   PDW_ASSIGN_OR_RETURN(const TableDef* def, catalog_.GetTable(name));
-  PDW_ASSIGN_OR_RETURN(const RowVector* rows, GetRows(name));
-  TableStats stats;
-  stats.row_count = static_cast<double>(rows->size());
-  double width = 0;
-  for (const Row& r : *rows) width += RowWidth(r);
-  stats.avg_row_width = rows->empty() ? 0 : width / stats.row_count;
-  for (int i = 0; i < def->schema.num_columns(); ++i) {
-    const ColumnDef& col = def->schema.column(i);
-    stats.columns[ToLower(col.name)] =
-        ColumnStats::FromRows(*rows, i, col.type, histogram_buckets);
+  // As in InsertRows, the shared lock covers the map lookup only; the fold
+  // writes this table's sketch under the no-concurrent-writer contract.
+  std::shared_lock lock(mu_);
+  auto it = storage_.find(ToLower(name));
+  if (it == storage_.end()) {
+    return Status::NotFound("table '" + name + "' does not exist");
   }
-  return stats;
+  StoredTable& table = it->second;
+  table.sketch.Fold(table.columns.batches.front());
+  return table.sketch.Derive(def->schema, histogram_buckets);
 }
 
 Result<SqlResult> LocalEngine::ExecuteSql(const std::string& sql,

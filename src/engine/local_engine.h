@@ -12,6 +12,7 @@
 #include "common/result.h"
 #include "engine/batch.h"
 #include "engine/executor.h"
+#include "engine/stats_sketch.h"
 #include "optimizer/memo.h"
 
 namespace pdw {
@@ -65,8 +66,14 @@ class LocalEngine : public TableProvider {
   Result<const RowVector*> GetRows(const std::string& name) const;
   const Catalog& catalog() const { return catalog_; }
 
-  /// Recomputes the local statistics of a table from its stored rows (the
-  /// per-node half of the shell database's global-statistics story, §2.2).
+  /// The local statistics of a table's stored rows (the per-node half of
+  /// the shell database's global-statistics story, §2.2). Folds the rows
+  /// appended since the previous call into the table's StatsSketch, then
+  /// derives the statistics from it — equal field for field to
+  /// ColumnStats::FromRows over every stored row. The fold mutates the
+  /// sketch, so this call is a writer of the table: like InsertRows, it
+  /// must not run concurrently with another writer of the same table
+  /// (other tables, and queries, are unaffected).
   Result<TableStats> ComputeLocalStats(const std::string& name,
                                        int histogram_buckets = 32);
 
@@ -86,10 +93,16 @@ class LocalEngine : public TableProvider {
   /// One table's storage: the authoritative row vector plus a columnar
   /// mirror of the same rows (one contiguous batch), maintained at load
   /// time so batch-engine scans slice column vectors instead of
-  /// converting rows on every query.
+  /// converting rows on every query. Appends grow the mirror's vectors
+  /// geometrically, never copying the whole table per load. The
+  /// statistics sketch covers the mirror's first sketch.rows() rows; it is
+  /// folded forward lazily by ComputeLocalStats, so tables whose
+  /// statistics are never asked for (temp tables) never pay for it.
+  /// CreateTable and DropTable reset it with the table.
   struct StoredTable {
     RowVector rows;
     ColumnTable columns;
+    StatsSketch sketch;
   };
 
   mutable std::shared_mutex mu_;  ///< Guards the structure of storage_.

@@ -6,9 +6,6 @@
 
 namespace pdw {
 
-namespace {
-
-// Numeric projection used by histograms; VARCHARs are not projected.
 bool NumericValue(const Datum& d, double* out) {
   switch (d.type()) {
     case TypeId::kInt:
@@ -27,8 +24,6 @@ bool NumericValue(const Datum& d, double* out) {
       return false;
   }
 }
-
-}  // namespace
 
 ColumnStats ColumnStats::FromRows(const RowVector& rows, int column,
                                   TypeId type, int histogram_buckets) {

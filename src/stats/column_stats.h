@@ -11,6 +11,10 @@
 
 namespace pdw {
 
+/// Numeric projection of a value onto the histogram domain (INT, DOUBLE,
+/// DATE as epoch days, BOOL as 0/1). False for VARCHAR and NULL.
+bool NumericValue(const Datum& d, double* out);
+
 /// Statistics for one column: row/NDV/null counts, min/max, average width,
 /// and an optional equi-height histogram for numeric domains.
 struct ColumnStats {
@@ -23,7 +27,10 @@ struct ColumnStats {
   Histogram histogram;  ///< Empty for VARCHAR columns.
 
   /// Computes stats for `column` over `rows`, with histograms for numeric
-  /// types. This is the per-node "standard SQL Server mechanism".
+  /// types: the per-node "standard SQL Server mechanism", as a full pass
+  /// over the rows. The stored tables of a LocalEngine keep their
+  /// statistics incrementally (StatsSketch); this row path stays as the
+  /// independent oracle the tests compare the sketch against.
   static ColumnStats FromRows(const RowVector& rows, int column,
                               TypeId type, int histogram_buckets = 32);
 

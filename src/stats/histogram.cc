@@ -6,31 +6,51 @@
 
 namespace pdw {
 
-Histogram Histogram::Build(std::vector<double> values, int num_buckets) {
-  Histogram h;
-  if (values.empty() || num_buckets <= 0) return h;
+std::vector<ValueRun> SortedRuns(std::vector<double> values) {
   std::sort(values.begin(), values.end());
-  h.min_ = values.front();
-  h.max_ = values.back();
-  h.total_rows_ = static_cast<double>(values.size());
-
-  size_t n = values.size();
-  size_t per_bucket = std::max<size_t>(1, n / static_cast<size_t>(num_buckets));
-  size_t i = 0;
-  while (i < n) {
-    size_t end = std::min(n, i + per_bucket);
-    // Extend the bucket so equal values never straddle a boundary.
-    while (end < n && values[end] == values[end - 1]) ++end;
-    HistogramBucket b;
-    b.upper_bound = values[end - 1];
-    b.row_count = static_cast<double>(end - i);
-    double distinct = 1;
-    for (size_t k = i + 1; k < end; ++k) {
-      if (values[k] != values[k - 1]) ++distinct;
+  std::vector<ValueRun> runs;
+  for (double v : values) {
+    if (!runs.empty() && runs.back().value == v) {
+      ++runs.back().count;
+    } else {
+      runs.push_back({v == 0 ? 0.0 : v, 1});
     }
-    b.distinct_count = distinct;
+  }
+  return runs;
+}
+
+Histogram Histogram::Build(std::vector<double> values, int num_buckets) {
+  return FromRuns(SortedRuns(std::move(values)), num_buckets);
+}
+
+Histogram Histogram::FromRuns(const std::vector<ValueRun>& runs,
+                              int num_buckets) {
+  Histogram h;
+  if (runs.empty() || num_buckets <= 0) return h;
+  uint64_t n = 0;
+  for (const ValueRun& r : runs) n += r.count;
+  h.min_ = runs.front().value;
+  h.max_ = runs.back().value;
+  h.total_rows_ = static_cast<double>(n);
+
+  uint64_t per_bucket =
+      std::max<uint64_t>(1, n / static_cast<uint64_t>(num_buckets));
+  size_t r = 0;
+  uint64_t start = 0;  // rows before the open bucket
+  while (r < runs.size()) {
+    // The bucket takes runs until it reaches per_bucket rows; the run that
+    // crosses the target stays whole, so equal values never straddle a
+    // boundary.
+    uint64_t target = std::min(n, start + per_bucket);
+    uint64_t end = start;
+    size_t first = r;
+    while (end < target) end += runs[r++].count;
+    HistogramBucket b;
+    b.upper_bound = runs[r - 1].value;
+    b.row_count = static_cast<double>(end - start);
+    b.distinct_count = static_cast<double>(r - first);
     h.buckets_.push_back(b);
-    i = end;
+    start = end;
   }
   return h;
 }

@@ -1,9 +1,23 @@
 #ifndef PDW_STATS_HISTOGRAM_H_
 #define PDW_STATS_HISTOGRAM_H_
 
+#include <cstdint>
 #include <vector>
 
 namespace pdw {
+
+/// A run of equal values in a sorted numeric column: the value and the
+/// number of rows holding it (16 bytes — the per-distinct-value cost of a
+/// statistics sketch's numeric runs).
+struct ValueRun {
+  double value = 0;
+  uint64_t count = 0;
+};
+
+/// Sorts `values` and run-length encodes them into ascending runs. Zero is
+/// canonicalized to +0.0, so a run's value does not depend on whether -0.0
+/// or 0.0 sorted first.
+std::vector<ValueRun> SortedRuns(std::vector<double> values);
 
 /// One bucket of an equi-height histogram over a numeric domain. Buckets
 /// cover (previous upper_bound, upper_bound]; the first bucket's lower edge
@@ -23,7 +37,14 @@ class Histogram {
 
   /// Builds an equi-height histogram with at most `num_buckets` buckets.
   /// `values` need not be sorted; NULLs must be excluded by the caller.
+  /// Equivalent to FromRuns(SortedRuns(values), num_buckets).
   static Histogram Build(std::vector<double> values, int num_buckets);
+
+  /// The equi-height bucketing: walks ascending value runs, closing a
+  /// bucket once it holds at least total/num_buckets rows. A run never
+  /// straddles a boundary, so a bucket's distinct count is its run count.
+  static Histogram FromRuns(const std::vector<ValueRun>& runs,
+                            int num_buckets);
 
   /// Merges per-node histograms into a global one (shell-database global
   /// statistics, paper §2.2). Bucket boundaries are the union of input

@@ -152,6 +152,69 @@ TEST(ConcurrencyTest, ConcurrentSessionsWithPlanCache) {
   EXPECT_EQ(appliance->plan_cache().size(), std::size(kQueries));
 }
 
+// --- loads racing queries on other tables (the supported load contract) ---
+
+TEST(ConcurrencyTest, LoadRowsWhileQueriesReadOtherTables) {
+  auto appliance = MakeLoadedAppliance(4, 0.05);
+  Session session = appliance->Connect();
+  // None of these reads orders, the table being appended to.
+  const char* queries[] = {kQueries[0], kQueries[4], kQueries[5]};
+  std::vector<RowVector> expected;
+  for (const char* sql : queries) {
+    auto ref = appliance->ExecuteReference(sql);
+    ASSERT_TRUE(ref.ok()) << sql;
+    expected.push_back(ref->rows);
+  }
+  tpch::TpchConfig cfg;
+  cfg.scale = 0.05;
+  const RowVector orders = tpch::GenerateOrders(cfg);
+  const double rows_before =
+      appliance->shell().GetTable("orders").ValueOrDie()->stats.row_count;
+
+  std::atomic<bool> loading{true};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      QueryOptions opts;
+      opts.compile.use_plan_cache = t % 2 == 0;
+      for (int rep = 0; loading.load() || rep < 3; ++rep) {
+        size_t qi = static_cast<size_t>(t + rep) % std::size(queries);
+        auto r = session.Run(queries[qi], opts);
+        if (!r.ok() || !RowSetsEqual(r->rows, expected[qi])) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  // Appends of new orders (fresh keys), each ending in the incremental
+  // statistics fold on every node.
+  constexpr int kAppends = 8;
+  constexpr int kRowsPerAppend = 20;
+  int64_t next_key = 1000000;
+  for (int k = 0; k < kAppends; ++k) {
+    RowVector rows;
+    for (int i = 0; i < kRowsPerAppend; ++i) {
+      Row r = orders[static_cast<size_t>(k * kRowsPerAppend + i) %
+                     orders.size()];
+      r[0] = Datum::Int(next_key++);
+      rows.push_back(std::move(r));
+    }
+    ASSERT_TRUE(appliance->LoadRows("orders", rows).ok());
+  }
+  loading.store(false);
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  EXPECT_EQ(appliance->shell().GetTable("orders").ValueOrDie()->stats.row_count,
+            rows_before + kAppends * kRowsPerAppend);
+  const char* orders_sql = kQueries[1];
+  auto r = session.Run(orders_sql);
+  auto ref = appliance->ExecuteReference(orders_sql);
+  ASSERT_TRUE(r.ok() && ref.ok());
+  EXPECT_TRUE(RowSetsEqual(r->rows, ref->rows));
+}
+
 // --- plan cache unit behavior through the Run API ---
 
 TEST(PlanCacheTest, RepeatRunHitsCache) {

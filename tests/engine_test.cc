@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "engine/local_engine.h"
 
 namespace pdw {
@@ -201,6 +203,53 @@ TEST_F(EngineTest, LocalStatsComputation) {
   EXPECT_EQ(stats->row_count, 5);
   EXPECT_EQ(stats->columns.at("id").distinct_count, 5);
   EXPECT_EQ(stats->columns.at("v").null_count, 1);
+}
+
+TEST(ColumnVectorTest, FirstAppendReservesExactly) {
+  RowVector rows;
+  for (int i = 0; i < 10; ++i) rows.push_back({Datum::Int(i)});
+  ColumnVector v(TypeId::kInt);
+  v.AppendRowsColumn(rows, 0, rows.size(), 0);
+  EXPECT_EQ(v.size(), 10u);
+  EXPECT_EQ(v.capacity(), 10u);
+}
+
+TEST(ColumnVectorTest, SingleRowAppendsReallocateLogarithmically) {
+  // Appending one row at a time must grow capacity geometrically, not copy
+  // the whole column on every append.
+  RowVector one = {{Datum::Varchar("x")}};
+  ColumnVector v(TypeId::kVarchar);
+  int reallocations = 0;
+  size_t capacity = v.capacity();
+  for (int i = 0; i < 1000; ++i) {
+    v.AppendRowsColumn(one, 0, 1, 0);
+    if (v.capacity() != capacity) {
+      ++reallocations;
+      // Growth is at most 1.5x (plus the first exact reserve).
+      EXPECT_LE(v.capacity(), std::max<size_t>(capacity + capacity / 2, 2));
+      capacity = v.capacity();
+    }
+  }
+  EXPECT_EQ(v.size(), 1000u);
+  // log_1.5(1000) ~ 17; a per-append exact reserve would give 1000.
+  EXPECT_LE(reallocations, 20);
+
+  // The per-element slow path of AppendRangeFrom (declared types differ,
+  // so every row takes it) grows the same way.
+  ColumnVector src(TypeId::kDouble);
+  src.Append(Datum::Double(1.5));
+  ColumnVector dst(TypeId::kInt);
+  reallocations = 0;
+  capacity = dst.capacity();
+  for (int i = 0; i < 1000; ++i) {
+    dst.AppendRangeFrom(src, 0, 1);
+    if (dst.capacity() != capacity) {
+      ++reallocations;
+      capacity = dst.capacity();
+    }
+  }
+  EXPECT_EQ(dst.size(), 1000u);
+  EXPECT_LE(reallocations, 20);
 }
 
 }  // namespace
