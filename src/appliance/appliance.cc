@@ -28,10 +28,10 @@ double NowSeconds() {
       .count();
 }
 
-/// Sums one node's per-operator actuals into the step aggregate. Plans are
-/// compiled per node against local catalogs, so shapes could in principle
-/// diverge; aggregation only happens when every operator lines up, else the
-/// first node's profile is kept as-is.
+/// Sums one node's per-operator actuals into the step aggregate. Every
+/// source node ran the step's one prepared plan, so complete operator lists
+/// line up position by position; a node that failed mid-run leaves a
+/// shorter one, and its step fails anyway.
 void MergeOperators(const std::vector<obs::OperatorProfile>& from,
                     std::vector<obs::OperatorProfile>* into) {
   if (into->empty()) {
@@ -39,9 +39,6 @@ void MergeOperators(const std::vector<obs::OperatorProfile>& from,
     return;
   }
   if (into->size() != from.size()) return;
-  for (size_t i = 0; i < from.size(); ++i) {
-    if ((*into)[i].name != from[i].name) return;
-  }
   for (size_t i = 0; i < from.size(); ++i) {
     obs::OperatorProfile& dst = (*into)[i];
     // Node-count-weighted mean, so the aggregate selectivity stays a ratio.
@@ -498,7 +495,27 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     return s;
   };
 
-  // Runs one step's SQL on every node of `nodes` simultaneously (capped at
+  // Compiles a step's SQL once, on the first source node's engine. Node
+  // catalogs are identical (CreateTable broadcasts the same DDL, a temp
+  // gets the same dest_schema everywhere) and carry no statistics, so every
+  // source node would build this same plan; each executes the shared one.
+  // A failure surfaces as that node's error, as when each node compiled
+  // for itself.
+  auto prepare_step = [&](const DsqlStep& step, int node, obs::StepProfile* sp)
+      -> Result<std::shared_ptr<const PreparedSelect>> {
+    double t0 = NowSeconds();
+    auto prepared = engine_of(node).PrepareSelect(step.sql);
+    sp->local_compile_seconds = NowSeconds() - t0;
+    if (!prepared.ok()) return WrapNodeStatus(node, prepared.status(), step.sql);
+    if (*prepared == nullptr) {
+      return WrapNodeStatus(
+          node, Status::InvalidArgument("DSQL step SQL is not a SELECT"),
+          step.sql);
+    }
+    return prepared;
+  };
+
+  // Runs one step's plan on every node of `nodes` simultaneously (capped at
   // max_parallel_nodes; 1 = the serial node-by-node loop). Each node lands
   // its rows in source_rows[node]; per-node wall times go to the step
   // profile, per-operator actuals are merged in node order afterwards so
@@ -507,6 +524,8 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
       [&](const DsqlStep& step, const std::vector<int>& nodes,
           std::vector<RowVector>* source_rows,
           obs::StepProfile* sp) -> Status {
+    PDW_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedSelect> prepared,
+                         prepare_step(step, nodes.front(), sp));
     size_t count = nodes.size();
     std::vector<ExecProfile> node_profiles(profile_operators ? count : 0);
     std::vector<Status> node_status(count);
@@ -527,8 +546,8 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
             std::this_thread::sleep_for(std::chrono::duration<double>(latency));
           }
           double t0 = NowSeconds();
-          auto rows = engine_of(node).ExecuteSql(
-              step.sql,
+          auto rows = engine_of(node).ExecutePrepared(
+              *prepared,
               profile_operators ? &node_profiles[static_cast<size_t>(i)]
                                 : nullptr,
               exec);
@@ -556,7 +575,7 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     return Status::OK();
   };
 
-  // Runs one DMS step end-to-end: source SQL on every source node, rows
+  // Runs one DMS step end-to-end: source plan on every source node, rows
   // through DMS, destination temp table materialized on every target node.
   auto run_dms_step = [&](const DsqlStep& step,
                           obs::StepProfile* sp) -> Status {
@@ -582,11 +601,13 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
       }
     };
     if (dms_codec == DmsCodec::kColumnar) {
-      // Streaming path: each source node's SQL runs inside its DMS
-      // producer, so row production on one node overlaps pack/route/
-      // unpack of nodes that finished earlier — no materialization
-      // barrier between step execution and movement.
+      // Streaming path: each source node's execution of the step's plan
+      // runs inside its DMS producer, so row production on one node
+      // overlaps pack/route/unpack of nodes that finished earlier — no
+      // materialization barrier between step execution and movement.
       const std::vector<int> sources = SourceNodes(step);
+      PDW_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedSelect> prepared,
+                           prepare_step(step, sources.front(), sp));
       std::vector<ExecProfile> node_profiles(
           profile_operators ? sources.size() : 0);
       std::vector<double> node_seconds(sources.size(), 0);
@@ -604,8 +625,8 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
                 std::chrono::duration<double>(latency));
           }
           double t0 = NowSeconds();
-          auto rows = engine_of(node).ExecuteSql(
-              step.sql, profile_operators ? &node_profiles[i] : nullptr,
+          auto rows = engine_of(node).ExecutePrepared(
+              *prepared, profile_operators ? &node_profiles[i] : nullptr,
               exec);
           node_seconds[i] = NowSeconds() - t0;
           if (!rows.ok()) {
@@ -674,8 +695,8 @@ Result<ApplianceResult> Appliance::ExecuteDsql(const DsqlPlan& dsql,
     return Status::OK();
   };
 
-  // Runs the Return step: per-source-node SQL, deterministic assembly,
-  // merge sort, limit, visible-column trim.
+  // Runs the Return step: the plan on every source node, deterministic
+  // assembly, merge sort, limit, visible-column trim.
   auto run_return_step = [&](const DsqlStep& step,
                              obs::StepProfile* sp) -> Status {
     obs::TraceSpan step_span("dsql.step");

@@ -56,7 +56,9 @@ struct ExecutionOptions {
   /// PDW_DMS_CODEC=row|columnar) or the legacy materialized row path.
   DmsCodec dms_codec = DefaultDmsCodec();
   /// Faults armed for this query only (on top of any process-wide
-  /// PDW_FAULTS schedule). Specs with query# = 1 or '*' target this query.
+  /// PDW_FAULTS schedule). Specs with query# = 1 or '*' target this query;
+  /// they fire only on work done for it (fault::ScopeGuard), never on a
+  /// concurrent query's.
   fault::FaultSchedule faults;
   /// Retry policy for transient step failures: each DSQL step is retried
   /// at step granularity (its partial temp table dropped first), with
@@ -220,8 +222,10 @@ class Session;
 /// Query execution follows §2.4: the control node compiles a DSQL plan (or
 /// serves it from the plan cache); the workload manager classifies the
 /// query into a resource class from its modeled cost and admits it through
-/// that class's bounded concurrency gate; each DSQL step then runs its SQL
-/// on every source node *simultaneously* on the shared worker pool, DMS
+/// that class's bounded concurrency gate; each DSQL step's SQL is then
+/// compiled once (LocalEngine::PrepareSelect on the first source node) and
+/// the plan runs on every source node *simultaneously* on the shared
+/// worker pool, DMS
 /// routes rows into temp tables, and the Return step's per-node SQL is
 /// assembled (merge-sorted, limited) into the final result.
 ///
@@ -298,6 +302,12 @@ class Appliance {
   }
   double dispatch_latency_seconds() const { return dispatch_latency_seconds_; }
 
+  /// Nodes that run a step's source SQL (control node = num_compute_nodes);
+  /// the first of them compiles it.
+  std::vector<int> SourceNodes(const DsqlStep& step) const;
+  /// Nodes that must host a DMS step's destination temp table.
+  std::vector<int> TargetNodes(const DsqlStep& step) const;
+
   // Shared-state accessors. The const overloads are safe from concurrent
   // session threads; the mutable ones are not synchronized.
   const Catalog& shell() const { return shell_; }
@@ -367,10 +377,6 @@ class Appliance {
   /// token so Appliance::Cancel can find it.
   std::shared_ptr<std::atomic<bool>> RegisterCancelFlag(uint64_t query_id);
   void UnregisterCancelFlag(uint64_t query_id);
-  /// Nodes that run a step's source SQL.
-  std::vector<int> SourceNodes(const DsqlStep& step) const;
-  /// Nodes that must host a DMS step's destination temp table.
-  std::vector<int> TargetNodes(const DsqlStep& step) const;
   Status DropTemps(const std::vector<std::string>& temps);
 
   Catalog shell_;

@@ -136,7 +136,10 @@ Status InstallExecSteps(LocalEngine* engine,
                           // positional readers of the older shape keep
                           // working): NULL role = executed privately.
                           {"shared_role", TypeId::kVarchar, true},
-                          {"saved_bytes", TypeId::kDouble, false}});
+                          {"saved_bytes", TypeId::kDouble, false},
+                          // The step's one local compile; elapsed_ms
+                          // includes it.
+                          {"local_compile_ms", TypeId::kDouble, false}});
   return engine->RegisterVirtualTable(
       std::move(def), [requests]() -> Result<RowVector> {
         RowVector rows;
@@ -161,6 +164,7 @@ Status InstallExecSteps(LocalEngine* engine,
                               ? Datum::Null()
                               : Datum::Varchar(s.shared_role));
             row.push_back(Datum::Double(s.shared_saved_bytes));
+            row.push_back(Datum::Double(s.local_compile_seconds * 1e3));
             rows.push_back(std::move(row));
           }
         }

@@ -50,6 +50,18 @@ std::vector<std::string> SplitSpecs(const std::string& text) {
 
 std::atomic<bool> FaultRegistry::armed_flag_{false};
 
+namespace {
+thread_local uint64_t tls_scope = 0;
+}  // namespace
+
+uint64_t CurrentScope() { return tls_scope; }
+
+ScopeGuard::ScopeGuard(uint64_t scope) : previous_(tls_scope) {
+  tls_scope = scope;
+}
+
+ScopeGuard::~ScopeGuard() { tls_scope = previous_; }
+
 const char* FaultKindToString(FaultKind kind) {
   switch (kind) {
     case FaultKind::kTransientError:
@@ -197,9 +209,18 @@ bool FaultRegistry::IsKnownPoint(const std::string& point) {
 }
 
 uint64_t FaultRegistry::Arm(FaultSchedule schedule) {
+  return Arm(std::move(schedule), /*scoped=*/false);
+}
+
+uint64_t FaultRegistry::ArmScoped(FaultSchedule schedule) {
+  return Arm(std::move(schedule), /*scoped=*/true);
+}
+
+uint64_t FaultRegistry::Arm(FaultSchedule schedule, bool scoped) {
   std::lock_guard<std::mutex> lock(mu_);
   ArmedSchedule armed;
   armed.token = next_token_++;
+  armed.scoped = scoped;
   armed.base_serial = query_serial_.load(std::memory_order_relaxed);
   armed.remaining.reserve(schedule.size());
   for (const FaultSpec& spec : schedule) armed.remaining.push_back(spec.count);
@@ -235,7 +256,10 @@ Status FaultRegistry::Check(const char* point) {
       for (size_t i = 0; i < schedule.specs.size(); ++i) {
         const FaultSpec& spec = schedule.specs[i];
         if (spec.point != point) continue;
-        if (spec.query != 0 && schedule.base_serial + spec.query != serial) {
+        if (schedule.scoped) {
+          if (schedule.token != tls_scope || spec.query > 1) continue;
+        } else if (spec.query != 0 &&
+                   schedule.base_serial + spec.query != serial) {
           continue;
         }
         int& remaining = schedule.remaining[i];

@@ -25,7 +25,8 @@ enum class FaultKind {
 const char* FaultKindToString(FaultKind kind);
 
 /// One armed fault: fire up to `count` times at `point`, restricted to one
-/// query when `query` is non-zero.
+/// query when `query` is non-zero. In a query-scoped schedule
+/// (QueryOptions::faults) both 0 and 1 mean the query that armed it.
 struct FaultSpec {
   std::string point;   ///< Injection-point name (must be registered).
   uint64_t query = 0;  ///< 1-based query serial after arming; 0 = any query.
@@ -58,8 +59,10 @@ std::string FaultScheduleToString(const FaultSchedule& schedule);
 /// here, so a seed that generated a schedule reproduces the exact failure.
 ///
 /// Arming paths: the PDW_FAULTS environment variable (parsed once, armed
-/// for the process lifetime) and QueryOptions::faults (armed by
-/// Appliance::Run for one query via ScopedFaults).
+/// for the process lifetime; its query numbers count BeginQuery calls) and
+/// QueryOptions::faults (armed by Appliance::Run for one query via
+/// ScopedFaults; it fires only on checks made in that query's fault
+/// scope, so concurrent queries never consume each other's faults).
 ///
 /// Cost when nothing is armed: PDW_FAULT_POINT is one relaxed atomic load
 /// and a never-taken branch — cheap enough to sit on DMS per-batch paths.
@@ -81,10 +84,16 @@ class FaultRegistry {
   /// Arms a schedule and returns a token for Disarm. Specs with query > 0
   /// fire only during the query-th BeginQuery() after this arming.
   uint64_t Arm(FaultSchedule schedule);
+  /// Arms a query-scoped schedule: it fires only on checks made while the
+  /// calling thread's fault scope (see ScopeGuard) is the returned token.
+  /// Specs with query 0 or 1 target that scope; larger query numbers never
+  /// fire.
+  uint64_t ArmScoped(FaultSchedule schedule);
   void Disarm(uint64_t token);
 
-  /// Bumps the process-wide query serial that query-scoped specs match
-  /// against (called by Appliance::Run); returns the new serial.
+  /// Bumps the process-wide query serial that the query numbers of
+  /// unscoped schedules (Arm) match against (called by Appliance::Run);
+  /// returns the new serial.
   uint64_t BeginQuery();
 
   /// The slow path behind PDW_FAULT_POINT: records the traversal and, when
@@ -109,9 +118,11 @@ class FaultRegistry {
 
  private:
   FaultRegistry() = default;
+  uint64_t Arm(FaultSchedule schedule, bool scoped);
 
   struct ArmedSchedule {
     uint64_t token = 0;
+    bool scoped = false;       ///< Matches by fault scope, not by serial.
     uint64_t base_serial = 0;  ///< Query serial when armed.
     FaultSchedule specs;
     std::vector<int> remaining;  ///< Unfired count per spec; -1 = unlimited.
@@ -130,11 +141,34 @@ class FaultRegistry {
   std::function<void(const std::string&, FaultKind)> hook_;
 };
 
-/// Arms QueryOptions::faults for the lifetime of one Appliance::Run call.
+/// The calling thread's fault scope: the token of the query-scoped
+/// schedule of the query this thread is working for, 0 for none.
+uint64_t CurrentScope();
+
+/// Sets the calling thread's fault scope until destruction, then restores
+/// the previous one. ThreadPool helpers take the scope of the thread that
+/// started their ParallelFor batch, so a query's checks on pool workers
+/// (DMS stages, per-node step work) stay in its scope.
+class ScopeGuard {
+ public:
+  explicit ScopeGuard(uint64_t scope);
+  ~ScopeGuard();
+  ScopeGuard(const ScopeGuard&) = delete;
+  ScopeGuard& operator=(const ScopeGuard&) = delete;
+
+ private:
+  uint64_t previous_;
+};
+
+/// Arms QueryOptions::faults for the lifetime of one Appliance::Run call,
+/// scoped to that call: the calling thread (and the pool work it starts)
+/// runs in the schedule's fault scope.
 class ScopedFaults {
  public:
   explicit ScopedFaults(const FaultSchedule& schedule)
-      : token_(schedule.empty() ? 0 : FaultRegistry::Global().Arm(schedule)) {}
+      : token_(schedule.empty() ? 0
+                                : FaultRegistry::Global().ArmScoped(schedule)),
+        scope_(token_) {}
   ~ScopedFaults() {
     if (token_ != 0) FaultRegistry::Global().Disarm(token_);
   }
@@ -143,6 +177,7 @@ class ScopedFaults {
 
  private:
   uint64_t token_;
+  ScopeGuard scope_;
 };
 
 /// Convenience for call sites that handle the status themselves (per-node

@@ -23,6 +23,7 @@ int ThreadPool::nesting_depth() { return tls_nesting_depth; }
 struct ThreadPool::Batch {
   int n = 0;
   int depth = 0;  ///< Nesting depth the batch's fn runs at.
+  uint64_t fault_scope = 0;  ///< The starting thread's fault scope.
   std::atomic<int> next{0};
   std::atomic<int> done{0};
   const std::function<void(int)>* fn = nullptr;
@@ -86,10 +87,6 @@ void ThreadPool::SetMetricsHook(std::function<void(int, int)> hook) {
 }
 
 void ThreadPool::RunOne(const std::function<void()>& task) {
-  // A task has no error frame to surface an injected status into: delay
-  // faults stall the task before it starts (modeling a slow worker), error
-  // kinds are counted by the registry but otherwise dropped here.
-  (void)fault::Check("pool.task_start");
   int active = active_.fetch_add(1, std::memory_order_relaxed) + 1;
   {
     std::lock_guard<std::mutex> lock(hook_mu_);
@@ -145,6 +142,7 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn,
   auto batch = std::make_shared<Batch>();
   batch->n = n;
   batch->depth = depth;
+  batch->fault_scope = fault::CurrentScope();
   batch->fn = &fn;
 
   // One helper per index beyond the caller, bounded by the cap and the
@@ -154,7 +152,15 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn,
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (int i = 0; i < helpers; ++i) {
-      queue_.emplace_back([batch] { batch->Drain(); });
+      queue_.emplace_back([batch] {
+        // Helpers work for the query that started the batch. A helper has
+        // no error frame to surface an injected status into: delay faults
+        // stall it before it starts (modeling a slow worker), error kinds
+        // are counted by the registry but otherwise dropped here.
+        fault::ScopeGuard scope(batch->fault_scope);
+        (void)fault::Check("pool.task_start");
+        batch->Drain();
+      });
     }
     queue_depth_.store(static_cast<int>(queue_.size()),
                        std::memory_order_relaxed);

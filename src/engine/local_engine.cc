@@ -5,6 +5,7 @@
 
 #include "algebra/scalar_eval.h"
 #include "common/string_util.h"
+#include "obs/metrics.h"
 #include "optimizer/serial_optimizer.h"
 #include "sql/parser.h"
 
@@ -50,6 +51,14 @@ void CollectScanNames(const PlanNode& node, std::vector<std::string>* out) {
     out->push_back(ToLower(node.table_name));
   }
   for (const auto& child : node.children) CollectScanNames(*child, out);
+}
+
+/// Drops the plan's pointers into the compiling catalog. No executor reads
+/// PlanNode::table (scans resolve table_name through the executing engine),
+/// so a prepared plan carries nothing tied to the engine that compiled it.
+void ClearCatalogPointers(PlanNode* node) {
+  node->table = nullptr;
+  for (auto& child : node->children) ClearCatalogPointers(child.get());
 }
 
 }  // namespace
@@ -224,18 +233,46 @@ Result<SqlResult> LocalEngine::ExecuteSql(const std::string& sql,
     case sql::StatementKind::kSelect:
       break;
   }
+  PDW_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedSelect> prepared,
+                       Prepare(*stmt.select));
+  return ExecutePrepared(*prepared, profile, exec);
+}
 
-  // SELECT: full serial pipeline against the local catalog + storage.
+Result<std::shared_ptr<const PreparedSelect>> LocalEngine::PrepareSelect(
+    const std::string& sql) const {
+  PDW_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
+  if (stmt.kind != sql::StatementKind::kSelect) {
+    return std::shared_ptr<const PreparedSelect>();
+  }
+  return Prepare(*stmt.select);
+}
+
+Result<std::shared_ptr<const PreparedSelect>> LocalEngine::Prepare(
+    const sql::SelectStatement& select) const {
+  // Full serial pipeline against the local catalog. Local catalogs carry no
+  // statistics, so the plan depends on table shapes only.
   PDW_ASSIGN_OR_RETURN(CompilationResult comp,
-                       CompileSelect(catalog_, *stmt.select));
-  PDW_ASSIGN_OR_RETURN(PlanNodePtr plan,
+                       CompileSelect(catalog_, select));
+  auto prepared = std::make_shared<PreparedSelect>();
+  PDW_ASSIGN_OR_RETURN(prepared->plan,
                        ExtractBestSerialPlan(comp.memo.get()));
+  ClearCatalogPointers(prepared->plan.get());
+  prepared->output_names = std::move(comp.output_names);
+  prepared->visible_columns = comp.visible_columns;
+  obs::MetricsRegistry::Global().Count("engine.local_compiles");
+  return std::shared_ptr<const PreparedSelect>(std::move(prepared));
+}
+
+Result<SqlResult> LocalEngine::ExecutePrepared(const PreparedSelect& prepared,
+                                               ExecProfile* profile,
+                                               const ExecOptions& exec) const {
+  const PlanNode& plan = *prepared.plan;
   // Virtual-table scans (system views) read a snapshot materialized now,
   // for this execution only: call each view's producer once, mirror the
   // rows into one column batch so either engine can scan them, and layer
   // the snapshots over the stored tables.
   std::vector<std::string> scans;
-  CollectScanNames(*plan, &scans);
+  CollectScanNames(plan, &scans);
   OverlayTableProvider overlay(*this);
   bool has_virtual = false;
   for (const std::string& key : scans) {
@@ -265,13 +302,14 @@ Result<SqlResult> LocalEngine::ExecuteSql(const std::string& sql,
   }
   const TableProvider& provider =
       has_virtual ? static_cast<const TableProvider&>(overlay) : *this;
+  SqlResult result;
   PDW_ASSIGN_OR_RETURN(result.rows,
-                       ExecutePlan(*plan, provider, profile, exec));
-  result.column_names = comp.output_names;
-  for (const auto& b : plan->output) result.column_types.push_back(b.type);
+                       ExecutePlan(plan, provider, profile, exec));
+  result.column_names = prepared.output_names;
+  for (const auto& b : plan.output) result.column_types.push_back(b.type);
   // Trim hidden ORDER BY carrier columns.
-  if (comp.visible_columns >= 0) {
-    size_t visible = static_cast<size_t>(comp.visible_columns);
+  if (prepared.visible_columns >= 0) {
+    size_t visible = static_cast<size_t>(prepared.visible_columns);
     for (Row& r : result.rows) {
       if (r.size() > visible) r.resize(visible);
     }

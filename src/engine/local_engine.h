@@ -17,6 +17,10 @@
 
 namespace pdw {
 
+namespace sql {
+struct SelectStatement;
+}  // namespace sql
+
 /// Result of one SQL execution.
 struct SqlResult {
   std::vector<std::string> column_names;
@@ -30,6 +34,28 @@ struct SqlResult {
 /// invoke it simultaneously.
 using VirtualTableFn = std::function<Result<RowVector>()>;
 
+/// A SELECT compiled against one engine's catalog: the serial plan and the
+/// statement's output shape. The plan is node-independent: scans name their
+/// tables (PlanNode::table_name) and every executor resolves them through
+/// the executing engine's GetTableData, never through the compiling
+/// catalog (PrepareSelect clears PlanNode::table). So a plan prepared on
+/// one engine runs on any engine whose catalog has the same tables and
+/// columns — the appliance compiles each DSQL step once and executes it on
+/// every source node.
+///
+/// Thread safety: immutable once PrepareSelect returns. Any number of
+/// threads may run one PreparedSelect through ExecutePrepared at once, on
+/// one engine or many, including their morsel helpers: execution only
+/// reads the plan and its shared scalar expressions, and builds all
+/// per-run state (expression programs, hash tables) privately.
+struct PreparedSelect {
+  PlanNodePtr plan;
+  std::vector<std::string> output_names;
+  /// Leading output columns the client sees; the rest carry hidden ORDER
+  /// BY keys (see BoundQuery::visible_columns). -1 = all visible.
+  int visible_columns = -1;
+};
+
 /// A complete single-node SQL engine: catalog + in-memory row storage +
 /// parse/bind/normalize/optimize/execute pipeline. One instance runs on
 /// each compute node (and on the control node) of the appliance simulator,
@@ -37,7 +63,8 @@ using VirtualTableFn = std::function<Result<RowVector>()>;
 /// feeds it the *generated SQL text*, so DSQL SQL generation is exercised
 /// on the real execution path.
 ///
-/// Thread safety: concurrent ExecuteSql calls are safe, as is DDL on
+/// Thread safety: concurrent ExecuteSql / PrepareSelect / ExecutePrepared
+/// calls are safe, as is DDL on
 /// *distinct* tables concurrent with queries — the case parallel DSQL
 /// execution needs, where each in-flight query creates, fills and drops
 /// its own uniquely-named temp tables. The storage map's structure is
@@ -77,14 +104,28 @@ class LocalEngine : public TableProvider {
   Result<TableStats> ComputeLocalStats(const std::string& name,
                                        int histogram_buckets = 32);
 
-  /// Executes a SELECT (or CREATE TABLE / DROP TABLE / INSERT) statement.
-  /// A non-null `profile` collects per-operator actual row counts and
-  /// timings of the SELECT's plan (EXPLAIN ANALYZE support). `exec` picks
-  /// the execution engine (row reference vs vectorized batch) and its
-  /// batch-size / parallelism knobs.
+  /// Executes a SELECT (or CREATE TABLE / DROP TABLE / INSERT) statement;
+  /// a SELECT is PrepareSelect + ExecutePrepared. A non-null `profile`
+  /// collects per-operator actual row counts and timings of the SELECT's
+  /// plan (EXPLAIN ANALYZE support). `exec` picks the execution engine (row
+  /// reference vs vectorized batch) and its batch-size / parallelism knobs.
   Result<SqlResult> ExecuteSql(const std::string& sql,
                                ExecProfile* profile = nullptr,
                                const ExecOptions& exec = {});
+
+  /// The local compile of a SELECT: parse, bind, normalize, memo
+  /// exploration and serial plan extraction against this engine's catalog.
+  /// Returns null (and executes nothing) for DDL and INSERT. Counts
+  /// `engine.local_compiles`.
+  Result<std::shared_ptr<const PreparedSelect>> PrepareSelect(
+      const std::string& sql) const;
+
+  /// Runs a prepared SELECT against this engine's storage: virtual tables
+  /// it scans are materialized for this run, and hidden ORDER BY carrier
+  /// columns are trimmed from the result. `profile`/`exec` as ExecuteSql.
+  Result<SqlResult> ExecutePrepared(const PreparedSelect& prepared,
+                                    ExecProfile* profile = nullptr,
+                                    const ExecOptions& exec = {}) const;
 
   // TableProvider:
   Result<TableData> GetTableData(const std::string& name) const override;
@@ -109,6 +150,10 @@ class LocalEngine : public TableProvider {
   Catalog catalog_;
   std::map<std::string, StoredTable> storage_;  // keyed by lowercase name
   std::map<std::string, VirtualTableFn> virtual_;  // keyed by lowercase name
+
+  /// PrepareSelect for an already-parsed SELECT statement.
+  Result<std::shared_ptr<const PreparedSelect>> Prepare(
+      const sql::SelectStatement& select) const;
 };
 
 }  // namespace pdw

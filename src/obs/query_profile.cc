@@ -96,7 +96,8 @@ std::string QueryProfile::ToText(double misestimate_threshold) const {
       }
     }
     if (!s.node_seconds.empty()) {
-      out += "  nodes:";
+      out += StringFormat("  local compile %s   nodes:",
+                          FormatSeconds(s.local_compile_seconds).c_str());
       for (const auto& [node, seconds] : s.node_seconds) {
         out += StringFormat(" n%d=%s", node, FormatSeconds(seconds).c_str());
       }
@@ -204,6 +205,7 @@ std::string QueryProfile::ToJson() const {
       out += ",\"reduction\":" + JsonNumber(rows_in / std::max(1.0, rows_out));
       out += "}";
     }
+    out += ",\"local_compile_seconds\":" + JsonNumber(s.local_compile_seconds);
     out += ",\"node_seconds\":[";
     for (size_t j = 0; j < s.node_seconds.size(); ++j) {
       if (j > 0) out += ",";

@@ -71,9 +71,14 @@ struct StepProfile {
   std::string shared_role;
   double shared_saved_bytes = 0;
 
-  /// (node, seconds) wall time of the step's SQL on each node that ran it
-  /// (control node = highest id). Under pooled execution these overlap, so
-  /// their sum exceeds measured_seconds; the spread shows skew.
+  /// Wall seconds of the step's one local compile: its SQL prepared on the
+  /// first source node's engine (LocalEngine::PrepareSelect), whose plan
+  /// every source node then executes. 0 for a shared-step follower.
+  double local_compile_seconds = 0;
+  /// (node, seconds) wall time of executing the step's prepared plan on
+  /// each node that ran it (control node = highest id); the local compile
+  /// is not included. Under pooled execution these overlap, so their sum
+  /// exceeds measured_seconds; the spread shows skew.
   std::vector<std::pair<int, double>> node_seconds;
 
   std::vector<OperatorProfile> operators;

@@ -53,7 +53,13 @@ struct PlanNode {
   DistributionProperty distribution;
 
   // --- kTableScan / kTempScan ---
+  /// What executors scan: they resolve the name through the executing
+  /// engine's TableProvider, so a plan is not tied to the catalog it was
+  /// compiled against.
   std::string table_name;
+  /// The compiling catalog's entry, for optimizer-side use only. No
+  /// executor reads it; LocalEngine::PrepareSelect clears it, so one
+  /// prepared plan runs on every node.
   const TableDef* table = nullptr;
 
   // --- kFilter, and residual/ON conditions of joins ---

@@ -304,7 +304,9 @@ TEST_F(TpchApplianceTest, ExplainAnalyzeRendersEstimatedVsActual) {
   EXPECT_NE(text.find("dms: reader{"), std::string::npos);
   EXPECT_NE(text.find("optimizer: groups="), std::string::npos);
   EXPECT_NE(text.find("operators"), std::string::npos);
-  // Per-node SQL wall times surface in the rendering.
+  // Each step's one local compile and the per-node execute times surface
+  // in the rendering.
+  EXPECT_NE(text.find("local compile"), std::string::npos);
   EXPECT_NE(text.find("nodes:"), std::string::npos);
   // Execution really happened, and temp tables were cleaned up after.
   for (int n = 0; n < 4; ++n) {

@@ -215,6 +215,85 @@ TEST(ConcurrencyTest, LoadRowsWhileQueriesReadOtherTables) {
   EXPECT_TRUE(RowSetsEqual(r->rows, ref->rows));
 }
 
+// --- one prepared plan read by every node at once ---
+
+/// Identical rows in identical order.
+bool SameRows(const RowVector& a, const RowVector& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (CompareRows(a[i], b[i]) != 0) return false;
+  }
+  return true;
+}
+
+// Each DSQL step is compiled once and every source node executes that one
+// PreparedSelect at the same time, each node fanning its operators out to
+// morsel helpers on the shared pool. Here eight node threads run one set of
+// prepared plans (small batches, so every operator splits into morsels)
+// while four sessions run distributed queries on the same 8-node
+// appliance. Every node's rows must equal those of its own compile through
+// ExecuteSql, and every session's the reference. Under TSan, any write to
+// a shared plan is reported.
+TEST(SharedPlanTest, EightNodesExecuteOnePreparedPlanConcurrently) {
+  auto appliance = MakeLoadedAppliance(8, 0.05);
+  const int nodes = appliance->num_compute_nodes();
+  ExecOptions exec;
+  exec.engine = EngineKind::kBatch;
+  exec.batch_size = 64;
+  std::vector<std::shared_ptr<const PreparedSelect>> plans;
+  std::vector<std::vector<SqlResult>> expected(static_cast<size_t>(nodes));
+  std::vector<RowVector> reference;
+  for (const char* sql : kQueries) {
+    auto prepared = appliance->compute_node(0).PrepareSelect(sql);
+    ASSERT_TRUE(prepared.ok()) << sql << "\n" << prepared.status().ToString();
+    ASSERT_NE(*prepared, nullptr) << sql;
+    plans.push_back(*prepared);
+    for (int n = 0; n < nodes; ++n) {
+      auto own =
+          appliance->mutable_compute_node(n).ExecuteSql(sql, nullptr, exec);
+      ASSERT_TRUE(own.ok()) << sql;
+      expected[static_cast<size_t>(n)].push_back(std::move(*own));
+    }
+    auto ref = appliance->ExecuteReference(sql);
+    ASSERT_TRUE(ref.ok()) << sql;
+    reference.push_back(std::move(ref->rows));
+  }
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int n = 0; n < nodes; ++n) {
+    threads.emplace_back([&, n] {
+      const LocalEngine& engine = appliance->compute_node(n);
+      const std::vector<SqlResult>& want = expected[static_cast<size_t>(n)];
+      for (int rep = 0; rep < 3; ++rep) {
+        for (size_t q = 0; q < plans.size(); ++q) {
+          ExecProfile profile;
+          auto r = engine.ExecutePrepared(*plans[q], &profile, exec);
+          if (!r.ok() || r->column_names != want[q].column_names ||
+              !SameRows(r->rows, want[q].rows)) {
+            failures.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Session session = appliance->Connect();
+      for (int rep = 0; rep < 3; ++rep) {
+        size_t qi = static_cast<size_t>(t + rep) % std::size(kQueries);
+        auto r = session.Run(kQueries[qi],
+                             QueryOptions().WithOperatorActuals());
+        if (!r.ok() || !RowSetsEqual(r->rows, reference[qi])) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 // --- plan cache unit behavior through the Run API ---
 
 TEST(PlanCacheTest, RepeatRunHitsCache) {

@@ -349,7 +349,8 @@ void ExpectViewsAgreeWithProfile(Appliance* appliance,
       " WHERE request_id = " + std::to_string(run.query_id);
   RowVector steps = Dmv(appliance,
                         "SELECT step_index, status, retries, rows_moved, "
-                        "bytes_moved, elapsed_ms, shared_role, saved_bytes "
+                        "bytes_moved, elapsed_ms, shared_role, saved_bytes, "
+                        "local_compile_ms "
                         "FROM sys.dm_pdw_exec_steps" + by_id +
                         " ORDER BY step_index");
   ASSERT_EQ(steps.size(), run.profile.steps.size());
@@ -375,6 +376,13 @@ void ExpectViewsAgreeWithProfile(Appliance* appliance,
       EXPECT_EQ(row[6].string_value(), sp.shared_role);
     }
     EXPECT_EQ(row[7].double_value(), sp.shared_saved_bytes);
+    // A follower compiled nothing; an executed step compiled once.
+    EXPECT_EQ(row[8].double_value(), sp.local_compile_seconds * 1e3);
+    if (follower) {
+      EXPECT_EQ(sp.local_compile_seconds, 0.0);
+    } else {
+      EXPECT_GT(sp.local_compile_seconds, 0.0);
+    }
     retries += sp.retries;
     rows_moved += want_rows;
     bytes_moved += want_bytes;

@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault.h"
 #include "common/retry.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 
 namespace pdw {
 namespace {
@@ -204,6 +207,45 @@ TEST_F(FaultRegistryTest, ScopedFaultsArmsAndDisarms) {
     fault::ScopedFaults empty_scoped(FaultSchedule{});
     EXPECT_FALSE(FaultRegistry::Armed());  // empty schedule never arms
   }
+}
+
+// A query's own faults fire only on checks made for that query: on its
+// thread and on the pool helpers of the batches it starts, never on a
+// concurrent query's thread, whatever the process-wide query serial does.
+TEST_F(FaultRegistryTest, ScopedFaultsFireOnlyInTheirQuery) {
+  FaultRegistry& reg = FaultRegistry::Global();
+  std::atomic<bool> armed{false}, other_done{false};
+  Status other_pack, other_unpack;
+  std::thread other([&] {
+    while (!armed.load()) std::this_thread::yield();
+    reg.BeginQuery();  // another query starting moves the serial
+    other_pack = reg.Check("dms.pack");
+    other_unpack = reg.Check("dms.unpack");
+    other_done = true;
+  });
+  {
+    fault::ScopedFaults scoped(
+        {{"dms.pack", 1, -1, FaultKind::kPermanentError},
+         {"dms.unpack", 0, -1, FaultKind::kTransientError}});
+    EXPECT_NE(fault::CurrentScope(), 0u);
+    reg.BeginQuery();
+    armed = true;
+    while (!other_done.load()) std::this_thread::yield();
+    EXPECT_TRUE(other_pack.ok()) << other_pack.ToString();
+    EXPECT_TRUE(other_unpack.ok()) << other_unpack.ToString();
+    EXPECT_EQ(reg.Check("dms.pack").code(), StatusCode::kExecutionError);
+    EXPECT_EQ(reg.Check("dms.unpack").code(), StatusCode::kTransient);
+    // Pool helpers inherit the scope of the thread that started the batch.
+    std::vector<StatusCode> codes(8);
+    ThreadPool pool(4);
+    pool.ParallelFor(8, [&](int i) {
+      codes[static_cast<size_t>(i)] = reg.Check("dms.pack").code();
+    });
+    for (StatusCode code : codes) EXPECT_EQ(code, StatusCode::kExecutionError);
+  }
+  other.join();
+  EXPECT_EQ(fault::CurrentScope(), 0u);
+  EXPECT_FALSE(FaultRegistry::Armed());
 }
 
 TEST_F(FaultRegistryTest, ResetClearsEverything) {

@@ -383,6 +383,8 @@ QueryProfile MakeProfile() {
   dms.network = {2048, 0.002};
   dms.writer = {4096, 0.001};
   dms.bulkcopy = {4096, 0.003};
+  dms.local_compile_seconds = 0.0015;
+  dms.node_seconds = {{0, 0.004}, {1, 0.005}};
   StepProfile ret;
   ret.index = 1;
   ret.kind = "RETURN";
@@ -422,6 +424,9 @@ TEST(QueryProfileTest, TextRendering) {
             std::string::npos);
   EXPECT_NE(text.find("[MISESTIMATE 15x]"), std::string::npos);
   EXPECT_NE(text.find("reader{4.00KB"), std::string::npos);
+  // The step's one local compile, then each node's execute-only time.
+  EXPECT_NE(text.find("local compile 1.50ms   nodes: n0=4.00ms n1=5.00ms"),
+            std::string::npos);
   EXPECT_NE(text.find("DSQL step 1: RETURN"), std::string::npos);
   EXPECT_NE(text.find("HashAggregate(global)"), std::string::npos);
   // The aligned RETURN step (accurate estimate) must not be flagged.
@@ -442,6 +447,9 @@ TEST(QueryProfileTest, JsonRoundTrip) {
   EXPECT_TRUE(IsValidJson(json)) << json;
   EXPECT_NE(json.find("\"move_kind\":\"Shuffle\""), std::string::npos);
   EXPECT_NE(json.find("\"misestimate_factor\":15"), std::string::npos);
+  EXPECT_NE(json.find("\"local_compile_seconds\":0.0015,\"node_seconds\":"
+                      "[{\"node\":0,\"seconds\":0.004}"),
+            std::string::npos);
   EXPECT_NE(json.find("\"operators\":[{\"depth\":0"), std::string::npos);
   // Empty profile must still be valid JSON.
   EXPECT_TRUE(IsValidJson(QueryProfile{}.ToJson()));
